@@ -14,8 +14,9 @@ Output is newline-delimited JSON or RFC-4180 CSV with a fixed header; every
 record carries {command, digest, seed, version} and numbers are rendered as
 shortest round-trip decimals, so identical invocations are byte-identical.
 
-Exit codes: 0 ok; 1 usage/validation; 2 engine capacity/degeneracy with no
-fallback allowed; 3 verification violation found.
+Exit codes: 0 ok; 1 usage/validation (a missing seed included); 2 engine
+capacity/degeneracy/failure with no fallback left, or a result out of float
+range; 3 verification violation found.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from dataclasses import dataclass, fields
 
 from . import __version__, bounds, coeffs, dists, summoments, verify
 from .coeffs import CoefficientVector
-from .errors import (
-    DegenerateCoefficientsError,
-    EngineCapacityError,
-    JobValidationError,
-    ResidueCancellationError,
-)
+from .errors import JobValidationError, MomentBoundsError
 
 __all__ = ["JobSpec", "parse_job", "run", "main"]
 
@@ -104,6 +100,11 @@ def _fail(field: str, message: str):
     raise JobValidationError(field, message)
 
 
+def _is_number(x, kinds=(int, float)) -> bool:
+    # bool subclasses int, but JSON true/false is not a number
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def parse_job(document: dict | None, overrides: dict) -> JobSpec:
     """Merge document and flag overrides, then validate everything.
 
@@ -135,41 +136,41 @@ def _validate(job: JobSpec):
         if not isinstance(job.coefficients, (list, tuple)) or len(job.coefficients) == 0:
             _fail("coefficients", "must be a nonempty list of finite reals")
         for i, x in enumerate(job.coefficients):
-            if not isinstance(x, (int, float)) or not math.isfinite(x):
+            if not _is_number(x) or not math.isfinite(x):
                 _fail(f"coefficients[{i}]", f"must be a finite real, got {x!r}")
     if job.distribution is not None and job.distribution not in _KINDS:
         _fail("distribution", f"must be one of {_KINDS}, got {job.distribution!r}")
     if job.alpha is not None:
-        if not isinstance(job.alpha, (int, float)) or job.alpha < 1:
+        if not _is_number(job.alpha) or job.alpha < 1:
             _fail("alpha", f"must be a real >= 1, got {job.alpha!r}")
     if job.p is not None:
         if not isinstance(job.p, (list, tuple)) or len(job.p) == 0:
             _fail("p", "must be a nonempty list of reals >= 1")
         for i, x in enumerate(job.p):
-            if not isinstance(x, (int, float)) or not math.isfinite(x) or x < 1:
+            if not _is_number(x) or not math.isfinite(x) or x < 1:
                 _fail(f"p[{i}]", f"must be a finite real >= 1, got {x!r}")
     if job.engine is not None:
         for i, e in enumerate(job.engine):
             if e not in _ENGINES:
                 _fail(f"engine[{i}]", f"must be one of {_ENGINES}, got {e!r}")
-    if not isinstance(job.samples, int) or job.samples < summoments.MC_MIN_SAMPLES:
+    if not _is_number(job.samples, int) or job.samples < summoments.MC_MIN_SAMPLES:
         _fail("samples", f"must be an integer >= {summoments.MC_MIN_SAMPLES}")
-    if job.seed is not None and not isinstance(job.seed, int):
+    if job.seed is not None and not _is_number(job.seed, int):
         _fail("seed", "must be an integer")
     if job.checks is not None:
         allowed = set(verify.SUITE_CHECKS) | set(verify.SEARCH_CHECKS)
         for i, c in enumerate(job.checks):
             if c not in allowed:
                 _fail(f"checks[{i}]", f"must be one of {sorted(allowed)}, got {c!r}")
-    if not isinstance(job.iterations, int) or job.iterations < 1:
+    if not _is_number(job.iterations, int) or job.iterations < 1:
         _fail("iterations", "must be an integer >= 1")
-    if not isinstance(job.nmax, int) or job.nmax < 1:
+    if not _is_number(job.nmax, int) or job.nmax < 1:
         _fail("nmax", "must be an integer >= 1")
     if job.gk_band is not None:
         ok = (
             isinstance(job.gk_band, (list, tuple))
             and len(job.gk_band) == 2
-            and all(isinstance(x, (int, float)) for x in job.gk_band)
+            and all(_is_number(x) for x in job.gk_band)
             and 0 < job.gk_band[0] < job.gk_band[1]
         )
         if not ok:
@@ -228,13 +229,13 @@ def _run_moment(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
         if job.engine is None:
             # default: strongest applicable engine, with fallback
             ests = [
-                verify.reference_estimate(v, d, float(p), samples=job.samples, seed=job.seed or 0)
+                verify.reference_estimate(v, d, float(p), samples=job.samples, seed=job.seed)
             ]
         else:
             # explicit list: one record per requested engine, no fallback
             ests = [
                 verify.reference_estimate(
-                    v, d, float(p), samples=job.samples, seed=job.seed or 0, prefer=[e]
+                    v, d, float(p), samples=job.samples, seed=job.seed, prefer=[e]
                 )
                 for e in job.engine
             ]
@@ -270,9 +271,8 @@ def _applicable_bounds(v: CoefficientVector, d, job: JobSpec, p: float) -> list[
     if p >= 3:
         rearranged = coeffs.rearrange(v)
         head = CoefficientVector(rearranged.values[: coeffs.head_count_below(p, len(v))])
-        head_norm = verify.reference_estimate(
-            head, d, p, samples=job.samples, seed=(job.seed or 0) + 1
-        )
+        seed = None if job.seed is None else job.seed + 1
+        head_norm = verify.reference_estimate(head, d, p, samples=job.samples, seed=seed)
         out.append(bounds.logconcave_bounds(rearranged, d, p, head_norm))
         out.append(bounds.gaussian_approx_gap(v, p))
     return out
@@ -527,11 +527,17 @@ def main(argv: list[str] | None = None) -> int:
         # (e.g. the Haagerup representation outside 2 < p < 4)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EngineCapacityError, DegenerateCoefficientsError, ResidueCancellationError) as exc:
+    except MomentBoundsError as exc:
+        # an engine refused or failed and the ladder had nothing left
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     buffer = io.StringIO()
-    emit(records, job.format, job.command, buffer)
+    try:
+        emit(records, job.format, job.command, buffer)
+    except ValueError as exc:
+        # a value out of float range (JSON has no inf/nan)
+        print(f"error: cannot render the result: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     payload = buffer.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -38,7 +38,8 @@ class UnboundedSupremumError(MomentBoundsError):
 
 
 class JobValidationError(MomentBoundsError):
-    """A CLI job document failed validation.
+    """A CLI job document, or a parameter its computation needs, failed
+    validation.
 
     ``field`` holds the path of the offending field (e.g. ``"p[1]"``).
     """

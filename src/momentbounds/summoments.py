@@ -152,10 +152,22 @@ def _canonical(v: CoefficientVector, drop_zeros: bool = True) -> np.ndarray:
 # --- exact Rademacher enumeration -------------------------------------------
 
 
+# Sign patterns per enumeration block, the partial sums of the first 21
+# coefficients.  It is also the summation chunk of the moment: another size
+# changes the summation tree and so the last bits of every result.
+_ENUMERATION_BLOCK = 1 << 20
+
+
 def rademacher_sum_moment(v: CoefficientVector, p: float) -> MomentEstimate:
     """Exact E|sum a_i eps_i|^p over all sign patterns.
 
     Symmetry halves the sweep to 2^{n-1} patterns of weight 2^{-(n-1)}.
+    The patterns are taken in blocks of 2^20: the partial sums of the first
+    21 coefficients are built once, and each sign pattern of the remaining
+    ones is applied to a copy of that block, so memory is O(2^20) whatever n
+    is, while time stays proportional to 2^{n-1}.  Every float operation and
+    the summation order are those of a sweep over one 2^{n-1}-element array
+    summed in 2^20-element chunks, so the result is bit-identical to it.
     Refuses n > ENUMERATION_CAP; use Monte Carlo beyond the cap.
     """
     if p < 0:
@@ -169,20 +181,34 @@ def rademacher_sum_moment(v: CoefficientVector, p: float) -> MomentEstimate:
         )
     if n == 0:
         return MomentEstimate.from_raw(p, 1.0 if p == 0 else 0.0, "enumeration", Rigor.exact())
-    # fix eps_1 = +1, build the 2^{n-1} partial sums by in-place doubling
-    sums = np.empty(1 << (n - 1), dtype=float)
-    sums[0] = a[0]
+    # fix eps_1 = +1, build the block's partial sums by in-place doubling
+    split = _ENUMERATION_BLOCK.bit_length()
+    head, rest = a[:split], a[split:]
+    base = np.empty(1 << (len(head) - 1), dtype=float)
+    base[0] = head[0]
     size = 1
-    for coef in a[1:]:
-        sums[size : 2 * size] = sums[:size] - coef
-        sums[:size] += coef
+    for coef in head[1:]:
+        base[size : 2 * size] = base[:size] - coef
+        base[:size] += coef
         size *= 2
-    total = 0.0
-    chunk = 1 << 20
-    for start in range(0, size, chunk):
-        block = np.abs(sums[start : start + chunk])
-        total += float(np.sum(block**p))
-    return MomentEstimate.from_raw(p, total / size, "enumeration", Rigor.exact())
+    if len(rest) == 0:
+        total = float(np.sum(np.abs(base) ** p))
+    else:
+        # bit k of the pattern set means eps = -1 on rest[k]; this is the
+        # order of the 2^20-element chunks of the whole 2^{n-1} sweep
+        total = 0.0
+        block = np.empty_like(base)
+        for pattern in range(1 << len(rest)):
+            np.copyto(block, base)
+            for k, coef in enumerate(rest):
+                if pattern >> k & 1:
+                    block -= coef
+                else:
+                    block += coef
+            np.abs(block, out=block)
+            block **= p
+            total += float(np.sum(block))
+    return MomentEstimate.from_raw(p, total / (1 << (n - 1)), "enumeration", Rigor.exact())
 
 
 # --- exact Laplace partial fractions -----------------------------------------

@@ -17,7 +17,7 @@ substreams, and merges use a fixed fold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .dists import DistributionSpec, gamma_p
 from .errors import (
     DegenerateCoefficientsError,
     EngineCapacityError,
+    JobValidationError,
     ResidueCancellationError,
 )
 from .summoments import MomentEstimate
@@ -151,7 +152,6 @@ class _Tally:
     ci_resolved: int = 0
     inconclusive: int = 0
     worst: float = math.inf
-    margins: list = field(default_factory=list)
 
     def compare(self, lhs: _Norm, rhs: _Norm, slack: float = NUMERICAL_SLACK) -> float:
         """Record the inequality lhs >= rhs; returns the raw margin."""
@@ -160,7 +160,6 @@ class _Tally:
         certain_best = lhs.hi - rhs.lo
         statistical = lhs.statistical or rhs.statistical
         self.cases += 1
-        self.margins.append(margin)
         self.worst = min(self.worst, margin)
         if certain_best < -slack:
             self.violations += 1
@@ -208,14 +207,16 @@ def reference_estimate(
     p: float,
     *,
     samples: int = 200_000,
-    seed: int = 0,
+    seed: int | None = None,
     prefer: Sequence[str] | None = None,
 ) -> MomentEstimate:
     """Strongest available engine for ||sum a_i X_i||_p under d.
 
     Default ladders: Rademacher enumeration -> Monte Carlo; two-sided
     exponential partial fractions -> recursion -> Monte Carlo; Gaussian
-    closed form; Weibull-tail Monte Carlo only.
+    closed form; Weibull-tail Monte Carlo only.  A ladder that reaches Monte
+    Carlo without a seed raises JobValidationError on ``seed``: there is no
+    default seed, not even on a fallback.
     """
     if prefer is None:
         prefer = {
@@ -241,6 +242,10 @@ def reference_estimate(
             if method == "closedForm":
                 return summoments.gaussian_sum_norm(v, p)
             if method == "monteCarlo":
+                if seed is None:
+                    raise JobValidationError(
+                        "seed", f"required: the {d.kind} engine ladder reached Monte Carlo"
+                    )
                 return summoments.monte_carlo_sum_moment(v, d, p, samples, seed)
         except _FALLBACK_ERRORS as exc:
             last_error = exc

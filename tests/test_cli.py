@@ -63,6 +63,80 @@ class TestValidation:
             )
 
 
+_BASE_JOB = {"command": "moment", "coefficients": [1.0, 2.0], "distribution": "rademacher",
+             "p": [3.0]}
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"seed": True}, "seed"),
+        ({"iterations": True}, "iterations"),
+        ({"nmax": True}, "nmax"),
+        ({"samples": True}, "samples"),
+        ({"distribution": "weibullTail", "alpha": True, "seed": 1}, "alpha"),
+        ({"p": [3.0, True]}, "p[1]"),
+        ({"coefficients": [True]}, "coefficients[0]"),
+        ({"command": "verify", "seed": 1, "gk_band": [True, 2.0]}, "gk_band"),
+    ],
+)
+def test_booleans_are_not_numbers(fields, path, tmp_path, capsys):
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({**_BASE_JOB, **fields}))
+    status, out, err = invoke(["--job", str(doc)], capsys)
+    assert status == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}:")
+    assert out == ""
+
+
+_THIRTY_ONES = ",".join(["1"] * 30)
+
+
+class TestMissingSeedOnFallback:
+    """Past the enumeration cap the Rademacher ladder falls back to Monte
+    Carlo, which must not run without the job's seed."""
+
+    def test_moment_beyond_enumeration_cap(self, capsys):
+        argv = ["moment", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "4"]
+        status, out, err = invoke(argv, capsys)
+        assert status == cli.EXIT_USAGE
+        assert err.startswith("error: seed:")
+        assert out == ""
+        status, out, _ = invoke(argv + ["--seed", "3", "--samples", "10000"], capsys)
+        assert status == cli.EXIT_OK
+        (rec,) = records_of(out)
+        assert rec["method"] == "monteCarlo" and rec["seed"] == 3
+
+    def test_bounds_head_beyond_enumeration_cap(self, capsys):
+        # the logconc head at p = 30 is the 29 largest coefficients
+        argv = ["bounds", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "30"]
+        status, out, err = invoke(argv, capsys)
+        assert status == cli.EXIT_USAGE
+        assert err.startswith("error: seed:")
+        assert out == ""
+
+
+class TestEngineFailureExitCodes:
+    def test_quadrature_failure_exits_capacity(self, capsys):
+        status, out, err = invoke(
+            ["moment", "--coeffs", "0.8,0.7,0.5,0.4,0.2", "--dist", "rademacher", "--p", "2.5",
+             "--engine", "haagerup"],
+            capsys,
+        )
+        assert status == cli.EXIT_CAPACITY
+        assert "quadrature" in err
+        assert out == ""
+
+    def test_unrenderable_record_exits_capacity(self, capsys):
+        # the raw moment 2^1e6 / 2 overflows to inf, which JSON cannot carry
+        status, out, err = invoke(
+            ["moment", "--coeffs", "1,1", "--dist", "rademacher", "--p", "1e6"], capsys
+        )
+        assert status == cli.EXIT_CAPACITY
+        assert "render" in err
+        assert out == ""
+
+
 class TestMomentCommand:
     def test_enumeration_record(self, capsys):
         status, out, _ = invoke(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,33 @@ class TestEnumeration:
     def test_capacity_error_names_cap(self):
         with pytest.raises(EngineCapacityError, match=str(ENUMERATION_CAP)):
             rademacher_sum_moment(CV([1.0] * (ENUMERATION_CAP + 1)), 2)
+
+    # n = 21 fills exactly one 2^20-pattern block; larger n stream the
+    # sign patterns of the coefficients past the 21st block by block
+    @pytest.mark.parametrize("n", [21, 22, ENUMERATION_CAP])
+    def test_flat_moments_across_blocks(self, n):
+        v = CV([1.0] * n)
+        expected = {2: n, 4: 3 * n**2 - 2 * n, 6: 15 * n**3 - 30 * n**2 + 16 * n}
+        for p, want in expected.items():
+            assert rademacher_sum_moment(v, p).raw_moment == pytest.approx(want, rel=1e-14)
+
+    def test_streamed_sign_and_permutation_invariance(self):
+        rng = np.random.default_rng(23)
+        a = rng.uniform(-2.0, 2.0, 23)
+        flipped = rng.permutation(a * rng.choice([-1.0, 1.0], a.size))
+        for p in (2.0, 3.5, 6.0):
+            assert rademacher_sum_moment(CV(a), p) == rademacher_sum_moment(CV(flipped), p)
+
+    def test_streamed_memory_stays_within_one_block(self):
+        v = CV(np.random.default_rng(24).uniform(0.5, 1.5, 24))
+        tracemalloc.start()
+        try:
+            rademacher_sum_moment(v, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one whole-array sweep of 2^23 doubles would need 64 MB plus temporaries
+        assert peak < 40 * 2**20
 
 
 class TestPartialFractions:
