@@ -38,7 +38,6 @@ from . import coeffs, dists
 from .coeffs import CoefficientVector
 from .dists import DistributionSpec, gamma_p
 from .errors import UnboundedSupremumError
-from .summoments import MomentEstimate
 
 __all__ = [
     "BoundInterval",
@@ -72,9 +71,6 @@ class BoundInterval:
             raise ValueError("bound endpoints must be finite")
         if self.lower < 0 or self.lower > self.upper:
             raise ValueError(f"need 0 <= lower <= upper, got [{self.lower}, {self.upper}]")
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= x <= self.upper + slack
 
 
 def _tail_l2(v: CoefficientVector, p: float) -> tuple[CoefficientVector, CoefficientVector, float]:
@@ -128,26 +124,24 @@ def exponential_bounds(v: CoefficientVector, p: float) -> BoundInterval:
 
 
 def logconcave_bounds(
-    v: CoefficientVector, d: DistributionSpec, p: float, head_norm: MomentEstimate
+    v: CoefficientVector, d: DistributionSpec, p: float, head_norm: float
 ) -> BoundInterval:
     """Two-sided bound for ||sum a_i X_i||_p, X symmetric unit-variance with
     log-concave tails, p >= 3.
 
-    ``head_norm`` must be ||sum_{i<p} a_i X_i||_p computed by a summoments
-    engine over the 1-based head indices i < p of the rearranged vector; the
-    head (i < p) and the l2 tail (i >= ceil(p/2)) overlap by design.
+    ``head_norm`` must be the value of ||sum_{i<p} a_i X_i||_p computed by a
+    summoments engine over coeffs.strict_head(v, p); the head (i < p) and
+    the l2 tail (i >= ceil(p/2)) overlap by design.  The law ``d`` enters
+    only through ``head_norm``, and both endpoints are nondecreasing in it.
     """
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p!r}")
     if not v.is_rearranged():
         raise ValueError("logconcave_bounds requires a rearranged vector")
-    if d.kind not in (dists.RADEMACHER, dists.SYM_EXPONENTIAL, dists.GAUSSIAN, dists.WEIBULL_TAIL):
-        raise ValueError(f"unsupported distribution kind {d.kind!r}")
     m = coeffs.half_ceil(p)
     tail = CoefficientVector(v.values[min(m - 1, len(v)) :])
     g_tail = gamma_p(p) * coeffs.norm(tail, 2)
-    hn = head_norm.value
-    return BoundInterval(max(g_tail, hn), g_tail + hn, "logconc", p)
+    return BoundInterval(max(g_tail, head_norm), g_tail + head_norm, "logconc", p)
 
 
 def gaussian_approx_gap(v: CoefficientVector, p: float) -> BoundInterval:

@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from . import __version__, bounds, coeffs, dists, summoments, verify
+from . import __version__, bounds, dists, summoments, verify
 from .coeffs import CoefficientVector
 from .errors import JobValidationError, MomentBoundsError
 
@@ -42,8 +42,6 @@ EXIT_CAPACITY = 2
 EXIT_VIOLATION = 3
 
 _COMMANDS = ("moment", "bounds", "verify", "sweep", "search")
-_ENGINES = ("enumeration", "partialFractions", "recursion", "haagerup", "monteCarlo", "closedForm")
-_KINDS = (dists.RADEMACHER, dists.SYM_EXPONENTIAL, dists.GAUSSIAN, dists.WEIBULL_TAIL)
 _FORMATS = ("json", "csv")
 
 _CSV_COLUMNS = {
@@ -138,8 +136,8 @@ def _validate(job: JobSpec):
         for i, x in enumerate(job.coefficients):
             if not _is_number(x) or not math.isfinite(x):
                 _fail(f"coefficients[{i}]", f"must be a finite real, got {x!r}")
-    if job.distribution is not None and job.distribution not in _KINDS:
-        _fail("distribution", f"must be one of {_KINDS}, got {job.distribution!r}")
+    if job.distribution is not None and job.distribution not in dists.KINDS:
+        _fail("distribution", f"must be one of {dists.KINDS}, got {job.distribution!r}")
     if job.alpha is not None:
         if not _is_number(job.alpha) or job.alpha < 1:
             _fail("alpha", f"must be a real >= 1, got {job.alpha!r}")
@@ -151,8 +149,8 @@ def _validate(job: JobSpec):
                 _fail(f"p[{i}]", f"must be a finite real >= 1, got {x!r}")
     if job.engine is not None:
         for i, e in enumerate(job.engine):
-            if e not in _ENGINES:
-                _fail(f"engine[{i}]", f"must be one of {_ENGINES}, got {e!r}")
+            if e not in summoments.ENGINES:
+                _fail(f"engine[{i}]", f"must be one of {tuple(summoments.ENGINES)}, got {e!r}")
     if not _is_number(job.samples, int) or job.samples < summoments.MC_MIN_SAMPLES:
         _fail("samples", f"must be an integer >= {summoments.MC_MIN_SAMPLES}")
     if job.seed is not None and not _is_number(job.seed, int):
@@ -186,15 +184,16 @@ def _validate(job: JobSpec):
             _fail("p", f"required for {job.command!r}")
     if job.distribution == dists.WEIBULL_TAIL and job.alpha is None:
         _fail("alpha", "required for weibullTail")
-    if job.engine is not None and job.distribution is not None:
-        d = _distribution(job)
-        for i, e in enumerate(job.engine):
-            if not verify.engine_applies(e, d):
+    engines = job.engine or []
+    if job.distribution is not None:
+        law = summoments.engine_law(_distribution(job))
+        for i, e in enumerate(engines):
+            if law not in summoments.ENGINES[e].laws:
                 _fail(f"engine[{i}]", f"{e!r} does not compute {job.distribution!r} sums")
-    stochastic = (
-        job.command in ("verify", "sweep", "search")
-        or job.distribution == dists.WEIBULL_TAIL
-        or (job.engine is not None and "monteCarlo" in job.engine)
+        # a law whose default ladder starts with Monte Carlo always samples
+        engines = engines or summoments.LADDERS[law][:1]
+    stochastic = job.command in ("verify", "sweep", "search") or any(
+        summoments.ENGINES[e].seeded for e in engines
     )
     if stochastic and job.seed is None:
         _fail("seed", "required for stochastic commands (no wall-clock default)")
@@ -260,30 +259,12 @@ def _run_moment(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     return EXIT_OK, records
 
 
-def _applicable_bounds(v: CoefficientVector, d, job: JobSpec, p: float) -> list[bounds.BoundInterval]:
-    out = []
-    if d.kind == dists.RADEMACHER and p >= 2:
-        out.append(bounds.khintchine_bounds(v, p))
-        out.append(bounds.comp2_bounds(v, p))
-        out.append(bounds.rademacher_bounds(v, p))
-    if d.kind == dists.SYM_EXPONENTIAL and p >= 2:
-        out.append(bounds.exponential_bounds(v, p))
-    if p >= 3:
-        rearranged = coeffs.rearrange(v)
-        head = CoefficientVector(rearranged.values[: coeffs.head_count_below(p, len(v))])
-        seed = None if job.seed is None else job.seed + 1
-        head_norm = verify.reference_estimate(head, d, p, samples=job.samples, seed=seed)
-        out.append(bounds.logconcave_bounds(rearranged, d, p, head_norm))
-        out.append(bounds.gaussian_approx_gap(v, p))
-    return out
-
-
 def _run_bounds(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     v = CoefficientVector(job.coefficients)
     d = _distribution(job)
     records = []
     for p in job.p:
-        for bi in _applicable_bounds(v, d, job, float(p)):
+        for bi, _, _ in verify.applicable_bounds(v, d, float(p), samples=job.samples, seed=job.seed):
             records.append(
                 {
                     **envelope,
@@ -373,7 +354,7 @@ def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 else verify.sample_coefficient_vector(rng, n, family)
             )
             for p in ps:
-                if p < 2 or (d.kind == dists.WEIBULL_TAIL and d.alpha != 1.0 and p < 3):
+                if p < 2 or (summoments.engine_law(d) == dists.WEIBULL_TAIL and p < 3):
                     continue
                 est = verify.reference_estimate(
                     v, d, p, samples=job.samples, seed=job.seed + case
@@ -391,7 +372,7 @@ def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 for src in bounds.BOUND_SOURCES:
                     row[f"{src}_lower"] = None
                     row[f"{src}_upper"] = None
-                for bi in _applicable_bounds(v, d, job, p):
+                for bi, _, _ in verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed):
                     row[f"{bi.source}_lower"] = bi.lower
                     row[f"{bi.source}_upper"] = bi.upper
                 records.append(row)
@@ -409,6 +390,8 @@ def _render_cell(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"out of range float value {x!r} in CSV")
         return repr(x)
     if isinstance(x, list):
         return _coeff_cell(x)
@@ -440,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", nargs="?", choices=_COMMANDS, help="job command")
     ap.add_argument("--job", help="job document: JSON file path or '-' for stdin")
     ap.add_argument("--coeffs", help="comma-separated coefficients, e.g. 1,-2,0.5")
-    ap.add_argument("--dist", choices=_KINDS, help="distribution kind")
+    ap.add_argument("--dist", choices=dists.KINDS, help="distribution kind")
     ap.add_argument("--alpha", type=float, help="weibullTail shape (alpha >= 1)")
     ap.add_argument("--p", help="comma-separated moment orders, e.g. 2,3,4")
     ap.add_argument("--engine", help="comma-separated engine preference")
@@ -535,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         emit(records, job.format, job.command, buffer)
     except ValueError as exc:
-        # a value out of float range (JSON has no inf/nan)
+        # a value out of float range (neither format carries inf/nan)
         print(f"error: cannot render the result: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     payload = buffer.getvalue()

@@ -20,6 +20,7 @@ __all__ = [
     "CoefficientVector",
     "half_ceil",
     "head_count_below",
+    "strict_head",
     "rearrange",
     "norm",
     "head_tail_split",
@@ -130,3 +131,11 @@ def head_tail_split(v: CoefficientVector, p: float) -> tuple[CoefficientVector, 
     m = half_ceil(p)
     cut = min(m - 1, len(v))
     return CoefficientVector(v.values[:cut]), CoefficientVector(v.values[cut:])
+
+
+def strict_head(v: CoefficientVector, p: float) -> CoefficientVector:
+    """The entries i < p (1-based) of a rearranged vector: the head of the
+    log-concave bound, possibly empty."""
+    if not v.is_rearranged():
+        raise ValueError("strict_head requires a rearranged vector")
+    return CoefficientVector(v.values[: head_count_below(p, len(v))])

@@ -29,6 +29,7 @@ __all__ = [
     "SYM_EXPONENTIAL",
     "GAUSSIAN",
     "WEIBULL_TAIL",
+    "KINDS",
     "DistributionSpec",
     "rademacher",
     "sym_exponential",
@@ -42,7 +43,6 @@ __all__ = [
     "single_moment_rademacher",
     "single_moment_exponential",
     "single_moment_exponential_quadrature",
-    "sample",
     "sample_array",
     "substream",
 ]
@@ -54,7 +54,7 @@ SYM_EXPONENTIAL = "symExponential"
 GAUSSIAN = "gaussian"
 WEIBULL_TAIL = "weibullTail"
 
-_KINDS = (RADEMACHER, SYM_EXPONENTIAL, GAUSSIAN, WEIBULL_TAIL)
+KINDS = (RADEMACHER, SYM_EXPONENTIAL, GAUSSIAN, WEIBULL_TAIL)
 
 
 def log_gamma(x: float) -> float:
@@ -82,7 +82,7 @@ class DistributionSpec:
     scale: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.kind == WEIBULL_TAIL:
             if self.alpha is None or self.alpha < 1:
@@ -153,8 +153,12 @@ def gamma_p(p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p!r}")
     if p == 2.0:
         return 1.0  # E N^2 = 1 exactly; keeps the p = 2 intervals degenerate
-    log_moment = (p / 2) * math.log(2.0) + log_gamma((p + 1) / 2) - 0.5 * math.log(math.pi)
-    return math.exp(log_moment / p)
+    return math.exp(_gaussian_log_moment(p) / p)
+
+
+def _gaussian_log_moment(p: float) -> float:
+    # ln E|N|^p = ln(2^{p/2} Gamma((p+1)/2) / sqrt(pi)), valid for all p > -1
+    return (p / 2) * math.log(2.0) + log_gamma((p + 1) / 2) - 0.5 * math.log(math.pi)
 
 
 def exponential_abs_moment(p: float) -> float:
@@ -177,14 +181,9 @@ def single_abs_moment(d: DistributionSpec, p: float) -> float:
     if p == 0:
         return 1.0
     if d.kind == GAUSSIAN:
-        return _gaussian_frac_moment(p)
+        return math.exp(_gaussian_log_moment(p))
     # weibull: E|X|^p = b^p Gamma(1 + p/alpha)
     return math.exp(p * math.log(d.scale) + log_gamma(1.0 + p / d.alpha))
-
-
-def _gaussian_frac_moment(p: float) -> float:
-    # E|N|^p = 2^{p/2} Gamma((p+1)/2) / sqrt(pi), valid for all p > -1
-    return math.exp((p / 2) * math.log(2.0) + log_gamma((p + 1) / 2) - 0.5 * math.log(math.pi))
 
 
 def single_moment_rademacher(a: float, b: float, p: float) -> float:
@@ -288,8 +287,3 @@ def sample_array(d: DistributionSpec, rng: np.random.Generator, size) -> np.ndar
     sign = rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
     u = np.maximum(rng.random(size), _OPEN_UNIT_FLOOR)
     return sign * d.scale * (-np.log(u)) ** (1.0 / d.alpha)
-
-
-def sample(d: DistributionSpec, rng: np.random.Generator) -> float:
-    """One draw from d; the stream is advanced exactly as by sample_array(size=1)."""
-    return float(sample_array(d, rng, 1)[0])

@@ -35,6 +35,7 @@ from .dists import SQRT2, DistributionSpec, gamma_p, log_gamma
 from .errors import (
     DegenerateCoefficientsError,
     EngineCapacityError,
+    MomentBoundsError,
     QuadratureError,
     ResidueCancellationError,
 )
@@ -44,13 +45,16 @@ __all__ = [
     "ENUMERATION_CAP",
     "PARTIAL_FRACTION_GAP",
     "RESIDUE_MAGNITUDE_CAP",
+    "Engine",
+    "ENGINES",
+    "LADDERS",
+    "engine_law",
     "Rigor",
     "MomentEstimate",
     "rademacher_sum_moment",
     "laplace_residues",
     "laplace_sum_moment_exact",
     "laplace_sum_moment_recursion",
-    "characteristic_function",
     "haagerup_moment",
     "monte_carlo_sum_moment",
     "monte_carlo_sum_moments",
@@ -62,8 +66,58 @@ ENUMERATION_CAP = 26
 PARTIAL_FRACTION_GAP = 1e-6
 RESIDUE_MAGNITUDE_CAP = 1e8
 
-_EXACT_METHODS = frozenset({"enumeration", "partialFractions", "recursion", "closedForm"})
-_METHODS = _EXACT_METHODS | {"haagerup", "monteCarlo"}
+
+# --- engine registry ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Engine:
+    """One moment engine: the name of the function of this module that
+    computes it (looked up at call time), the engine laws it computes,
+    whether it may claim exact rigor, the errors by which it declines an
+    input so that a ladder moves on, and its positional arguments among
+    v, law (engine_law of d), d, p, samples and seed."""
+
+    function: str
+    laws: frozenset[str]
+    exact: bool
+    refusals: tuple[type[MomentBoundsError], ...] = ()
+    args: tuple[str, ...] = ("v", "p")
+
+    @property
+    def seeded(self) -> bool:
+        return "seed" in self.args
+
+
+_SIGNS = frozenset({dists.RADEMACHER})
+_EXPONENTIAL = frozenset({dists.SYM_EXPONENTIAL})
+ENGINES = {
+    "enumeration": Engine("rademacher_sum_moment", _SIGNS, True, (EngineCapacityError,)),
+    "partialFractions": Engine(
+        "laplace_sum_moment_exact", _EXPONENTIAL, True, (DegenerateCoefficientsError, ResidueCancellationError)
+    ),
+    "recursion": Engine("laplace_sum_moment_recursion", _EXPONENTIAL, True),
+    "haagerup": Engine("haagerup_moment", _SIGNS | _EXPONENTIAL, False, args=("v", "law", "p")),
+    "monteCarlo": Engine(
+        "monte_carlo_sum_moment", frozenset(dists.KINDS), False, args=("v", "d", "p", "samples", "seed")
+    ),
+    "closedForm": Engine("gaussian_sum_norm", frozenset({dists.GAUSSIAN}), True),
+}
+
+# default preference ladder of each engine law, strongest engine first
+LADDERS = {
+    dists.RADEMACHER: ("enumeration", "monteCarlo"),
+    dists.SYM_EXPONENTIAL: ("partialFractions", "recursion", "monteCarlo"),
+    dists.GAUSSIAN: ("closedForm",),
+    dists.WEIBULL_TAIL: ("monteCarlo",),
+}
+
+
+def engine_law(d: DistributionSpec) -> str:
+    """The law the engines see: Weibull alpha = 1 is the two-sided exponential."""
+    if d.kind == dists.WEIBULL_TAIL and d.alpha == 1.0:
+        return dists.SYM_EXPONENTIAL
+    return d.kind
 
 
 @dataclass(frozen=True)
@@ -114,11 +168,11 @@ class MomentEstimate:
     rigor: Rigor
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if self.method not in ENGINES:
             raise ValueError(f"unknown method {self.method!r}")
         if self.raw_moment < 0 or self.value < 0:
             raise ValueError("moments and norms are nonnegative")
-        if self.rigor.kind == "exact" and self.method not in _EXACT_METHODS:
+        if self.rigor.kind == "exact" and not ENGINES[self.method].exact:
             raise ValueError(f"method {self.method!r} cannot claim exact rigor")
         expected = _norm_from_raw(self.p, self.raw_moment)
         if not math.isclose(self.value, expected, rel_tol=1e-12, abs_tol=1e-300):
@@ -354,24 +408,6 @@ def _laplace_fractional_moment(a_desc: np.ndarray, q: float) -> float:
     return amax**q * c_q * acc
 
 
-# --- characteristic functions -------------------------------------------------
-
-
-def characteristic_function(v: CoefficientVector, kind: str, t):
-    """phi_S(t): prod cos(a_i t) for Rademacher, prod 1/(1 + a_i^2 t^2/2)
-    for the two-sided exponential.  Vectorized over t."""
-    if kind not in (dists.RADEMACHER, dists.SYM_EXPONENTIAL):
-        raise ValueError(f"characteristic function defined for rademacher/symExponential, got {kind!r}")
-    a = v.as_array()
-    t_arr = np.asarray(t, dtype=float)
-    if kind == dists.RADEMACHER:
-        out = np.prod(np.cos(np.outer(t_arr.ravel(), a)), axis=1)
-    else:
-        out = np.exp(-np.sum(np.log1p(0.5 * np.outer(t_arr.ravel(), a) ** 2), axis=1))
-    out = out.reshape(t_arr.shape)
-    return float(out) if np.isscalar(t) or t_arr.shape == () else out
-
-
 # --- Haagerup representation, 2 < p < 4 ---------------------------------------
 
 
@@ -417,7 +453,7 @@ def haagerup_moment(v: CoefficientVector, kind: str, p: float) -> MomentEstimate
     """
     if not 2.0 < p < 4.0:
         raise ValueError(f"the Haagerup representation requires 2 < p < 4, got {p!r}")
-    if kind not in (dists.RADEMACHER, dists.SYM_EXPONENTIAL):
+    if kind not in ENGINES["haagerup"].laws:
         raise ValueError(f"haagerup_moment supports rademacher/symExponential, got {kind!r}")
     a = _canonical(v)
     if len(a) == 0:

@@ -25,12 +25,7 @@ import numpy as np
 from . import bounds, coeffs, dists, summoments
 from .coeffs import CoefficientVector
 from .dists import DistributionSpec, gamma_p
-from .errors import (
-    DegenerateCoefficientsError,
-    EngineCapacityError,
-    JobValidationError,
-    ResidueCancellationError,
-)
+from .errors import JobValidationError
 from .summoments import MomentEstimate
 
 __all__ = [
@@ -45,6 +40,7 @@ __all__ = [
     "check_cos_product",
     "check_comparison_chain",
     "check_extremality",
+    "applicable_bounds",
     "check_bounds_sandwich",
     "check_p24_comparison",
     "check_gk_ratio",
@@ -179,27 +175,6 @@ class _Tally:
 
 # --- engine selection ----------------------------------------------------------
 
-_FALLBACK_ERRORS = (EngineCapacityError, DegenerateCoefficientsError, ResidueCancellationError)
-
-
-def engine_applies(method: str, d: DistributionSpec) -> bool:
-    """Whether an engine computes the law of d (Weibull alpha = 1 coincides
-    with the two-sided exponential, so its exact engines apply there)."""
-    exponential_like = d.kind == dists.SYM_EXPONENTIAL or (
-        d.kind == dists.WEIBULL_TAIL and d.alpha == 1.0
-    )
-    if method == "enumeration":
-        return d.kind == dists.RADEMACHER
-    if method in ("partialFractions", "recursion"):
-        return exponential_like
-    if method == "haagerup":
-        return d.kind == dists.RADEMACHER or exponential_like
-    if method == "closedForm":
-        return d.kind == dists.GAUSSIAN
-    if method == "monteCarlo":
-        return True
-    raise ValueError(f"unknown engine {method!r}")
-
 
 def reference_estimate(
     v: CoefficientVector,
@@ -212,42 +187,28 @@ def reference_estimate(
 ) -> MomentEstimate:
     """Strongest available engine for ||sum a_i X_i||_p under d.
 
-    Default ladders: Rademacher enumeration -> Monte Carlo; two-sided
-    exponential partial fractions -> recursion -> Monte Carlo; Gaussian
-    closed form; Weibull-tail Monte Carlo only.  A ladder that reaches Monte
-    Carlo without a seed raises JobValidationError on ``seed``: there is no
-    default seed, not even on a fallback.
+    Walks ``prefer`` (default: summoments.LADDERS of the engine law of d)
+    and moves past an engine that refuses the input.  Default ladders:
+    Rademacher enumeration -> Monte Carlo; two-sided exponential, Weibull
+    alpha = 1 included, partial fractions -> recursion -> Monte Carlo;
+    Gaussian closed form; other Weibull tails Monte Carlo only.  A ladder
+    that reaches Monte Carlo without a seed raises JobValidationError on
+    ``seed``: there is no default seed, not even on a fallback.
     """
-    if prefer is None:
-        prefer = {
-            dists.RADEMACHER: ("enumeration", "monteCarlo"),
-            dists.SYM_EXPONENTIAL: ("partialFractions", "recursion", "monteCarlo"),
-            dists.GAUSSIAN: ("closedForm",),
-            dists.WEIBULL_TAIL: ("monteCarlo",),
-        }[d.kind]
+    law = summoments.engine_law(d)
+    given = {"v": v, "law": law, "d": d, "p": p, "samples": samples, "seed": seed}
     last_error: Exception | None = None
-    for method in prefer:
-        if not engine_applies(method, d):
+    for method in summoments.LADDERS[law] if prefer is None else prefer:
+        engine = summoments.ENGINES.get(method)
+        if engine is None:
+            raise ValueError(f"unknown engine {method!r}")
+        if law not in engine.laws:
             raise ValueError(f"engine {method!r} does not compute {d.kind!r} sums")
+        if engine.seeded and seed is None:
+            raise JobValidationError("seed", f"required: the {d.kind} engine ladder reached {method}")
         try:
-            if method == "enumeration":
-                return summoments.rademacher_sum_moment(v, p)
-            if method == "partialFractions":
-                return summoments.laplace_sum_moment_exact(v, p)
-            if method == "recursion":
-                return summoments.laplace_sum_moment_recursion(v, p)
-            if method == "haagerup":
-                kind = d.kind if d.kind == dists.RADEMACHER else dists.SYM_EXPONENTIAL
-                return summoments.haagerup_moment(v, kind, p)
-            if method == "closedForm":
-                return summoments.gaussian_sum_norm(v, p)
-            if method == "monteCarlo":
-                if seed is None:
-                    raise JobValidationError(
-                        "seed", f"required: the {d.kind} engine ladder reached Monte Carlo"
-                    )
-                return summoments.monte_carlo_sum_moment(v, d, p, samples, seed)
-        except _FALLBACK_ERRORS as exc:
+            return getattr(summoments, engine.function)(*[given[arg] for arg in engine.args])
+        except engine.refusals as exc:
             last_error = exc
     raise last_error if last_error is not None else ValueError("no engine accepted the input")
 
@@ -366,13 +327,14 @@ def check_extremality(
     v: CoefficientVector, alpha: float, p: float, seed: int, samples: int = 100_000
 ) -> VerificationReport:
     """||sum a_i eps_i||_p <= ||sum a_i X_i||_p <= ||sum a_i E_i||_p for
-    X Weibull-tailed with shape alpha, p >= 3; the middle term is Monte
-    Carlo, the ends exact where available."""
+    X Weibull-tailed with shape alpha, p >= 3; every term from its strongest
+    engine, so the middle one is Monte Carlo except at alpha = 1, where X is
+    the two-sided exponential and the upper link an exact equality."""
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p!r}")
     w = dists.weibull_tail(alpha)
     left = _Norm.from_estimate(reference_estimate(v, dists.rademacher(), p, samples=samples, seed=seed))
-    mid = _Norm.from_estimate(summoments.monte_carlo_sum_moment(v, w, p, samples, seed + 1))
+    mid = _Norm.from_estimate(reference_estimate(v, w, p, samples=samples, seed=seed + 1))
     right = _Norm.from_estimate(
         reference_estimate(v, dists.sym_exponential(), p, samples=samples, seed=seed + 2)
     )
@@ -382,43 +344,55 @@ def check_extremality(
     return tally.report("extremality", seed)
 
 
-def _contains(tally: _Tally, ref: _Norm, lower: _Norm, upper: _Norm, slack=NUMERICAL_SLACK):
-    tally.compare(ref, lower, slack)
-    tally.compare(upper, ref, slack)
+def applicable_bounds(
+    v: CoefficientVector,
+    d: DistributionSpec,
+    p: float,
+    *,
+    samples: int = 200_000,
+    seed: int | None = None,
+) -> list[tuple[bounds.BoundInterval, _Norm, _Norm]]:
+    """Every closed-form interval for ||sum a_i X_i||_p that applies at
+    (d, p), each with its lower and upper endpoint on the norm scale.
+
+    Sources, in order: khintchine, comp2, estrad (Rademacher, p >= 2),
+    estexp (two-sided exponential, p >= 2), logconc and gaussGap (p >= 3).
+    The logconc head norm comes from reference_estimate at seed + 1; both
+    logconc endpoints grow with it, so when it is not exact they span the
+    images of its certainty interval.  All other endpoints are exact.
+    """
+    law = summoments.engine_law(d)
+    out = []
+    if law == dists.RADEMACHER and p >= 2:
+        out += [bounds.khintchine_bounds(v, p), bounds.comp2_bounds(v, p), bounds.rademacher_bounds(v, p)]
+    if law == dists.SYM_EXPONENTIAL and p >= 2:
+        out.append(bounds.exponential_bounds(v, p))
+    out = [(bi, _Norm.exact(bi.lower), _Norm.exact(bi.upper)) for bi in out]
+    if p >= 3:
+        rearranged = coeffs.rearrange(v)
+        head_seed = None if seed is None else seed + 1
+        head = reference_estimate(coeffs.strict_head(rearranged, p), d, p, samples=samples, seed=head_seed)
+        hn = _Norm.from_estimate(head)
+        bi, lo, hi = (bounds.logconcave_bounds(rearranged, d, p, x) for x in (hn.value, hn.lo, hn.hi))
+        lower = _Norm(bi.lower, lo.lower, hi.lower, hn.statistical)
+        out.append((bi, lower, _Norm(bi.upper, lo.upper, hi.upper, hn.statistical)))
+        gap = bounds.gaussian_approx_gap(v, p)
+        out.append((gap, _Norm.exact(gap.lower), _Norm.exact(gap.upper)))
+    return out
 
 
 def check_bounds_sandwich(
     v: CoefficientVector, d: DistributionSpec, p: float, seed: int, samples: int = 100_000
 ) -> VerificationReport:
-    """Reference norm inside every applicable closed-form interval:
-    estrad/khintchine (Rademacher, p >= 2), estexp (exponential, p >= 2),
-    logconc and the Gaussian-gap window incl. its signed form (p >= 3)."""
-    ref_est = reference_estimate(v, d, p, samples=samples, seed=seed)
-    ref = _Norm.from_estimate(ref_est)
+    """Reference norm inside every interval of applicable_bounds but comp2,
+    whose endpoints are the outer links of the chain check_comparison_chain
+    verifies link by link."""
+    ref = _Norm.from_estimate(reference_estimate(v, d, p, samples=samples, seed=seed))
     tally = _Tally()
-    if d.kind == dists.RADEMACHER and p >= 2:
-        bi = bounds.rademacher_bounds(v, p)
-        _contains(tally, ref, _Norm.exact(bi.lower), _Norm.exact(bi.upper))
-        bk = bounds.khintchine_bounds(v, p)
-        _contains(tally, ref, _Norm.exact(bk.lower), _Norm.exact(bk.upper))
-    if d.kind == dists.SYM_EXPONENTIAL and p >= 2:
-        bi = bounds.exponential_bounds(v, p)
-        _contains(tally, ref, _Norm.exact(bi.lower), _Norm.exact(bi.upper))
-    if p >= 3:
-        rearranged = coeffs.rearrange(v)
-        head = CoefficientVector(rearranged.values[: coeffs.head_count_below(p, len(v))])
-        head_est = reference_estimate(head, d, p, samples=samples, seed=seed + 1)
-        hn = _Norm.from_estimate(head_est)
-        m = coeffs.half_ceil(p)
-        g_tail = gamma_p(p) * coeffs.norm(CoefficientVector(rearranged.values[m - 1 :]), 2)
-        lower = _Norm(max(g_tail, hn.value), max(g_tail, hn.lo), max(g_tail, hn.hi), hn.statistical)
-        upper = _Norm(g_tail + hn.value, g_tail + hn.lo, g_tail + hn.hi, hn.statistical)
-        _contains(tally, ref, lower, upper)
-        # Gaussian approximation gap, in signed form (no clamp)
-        center = gamma_p(p) * coeffs.norm(v, 2)
-        width = p * coeffs.norm(v, math.inf)
-        tally.compare(ref, _Norm.exact(center - width))
-        tally.compare(_Norm.exact(center + width), ref)
+    for bi, lower, upper in applicable_bounds(v, d, p, samples=samples, seed=seed):
+        if bi.source != "comp2":
+            tally.compare(ref, lower)
+            tally.compare(upper, ref)
     return tally.report("sandwich", seed)
 
 
@@ -435,8 +409,7 @@ def check_gk_ratio(
     underlying equivalence holds up to unspecified universal constants)."""
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p!r}")
-    rearranged = coeffs.rearrange(v)
-    head = CoefficientVector(rearranged.values[: coeffs.head_count_below(p, len(v))])
+    head = coeffs.strict_head(coeffs.rearrange(v), p)
     tally = _Tally()
     if len(head) == 0 or coeffs.norm(head, 2) == 0.0:
         return tally.report("gk_ratio", seed)
@@ -475,7 +448,9 @@ class SearchConfig:
 
 
 def _search_margin(check: str, inst: tuple, rng: np.random.Generator) -> float:
-    """Worst margin of one instance, exact/deterministic engines only."""
+    """Worst margin of one instance, exact/deterministic engines only: with
+    no seed, the exponential ladder stops at the recursion, which refuses
+    nothing."""
     if check == "cos_product":
         v, = inst
         t = np.concatenate([np.geomspace(1e-3, 50.0, 64), rng.uniform(0.0, 100.0, 32)])
@@ -490,7 +465,7 @@ def _search_margin(check: str, inst: tuple, rng: np.random.Generator) -> float:
     rad = _Norm.from_estimate(summoments.rademacher_sum_moment(rearranged, p))
     if check == "comp2":
         _, tail = coeffs.head_tail_split(rearranged, p)
-        lap = _Norm.from_estimate(_exactish_laplace(tail, p))
+        lap = _Norm.from_estimate(reference_estimate(tail, dists.sym_exponential(), p))
         links = [
             gamma_p(p) * coeffs.norm(rearranged, 2) - rad.value,
             rad.value - lap.value,
@@ -499,15 +474,8 @@ def _search_margin(check: str, inst: tuple, rng: np.random.Generator) -> float:
         return min(links)
     # p24
     rest = CoefficientVector(rearranged.values[1:])
-    lap = _Norm.from_estimate(_exactish_laplace(rest, p))
+    lap = _Norm.from_estimate(reference_estimate(rest, dists.sym_exponential(), p))
     return rad.value - lap.value
-
-
-def _exactish_laplace(v: CoefficientVector, p: float) -> MomentEstimate:
-    try:
-        return summoments.laplace_sum_moment_exact(v, p)
-    except _FALLBACK_ERRORS:
-        return summoments.laplace_sum_moment_recursion(v, p)
 
 
 def _search_instance(check: str, cfg: SearchConfig, rng: np.random.Generator) -> tuple:

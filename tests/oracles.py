@@ -14,6 +14,21 @@ from scipy import integrate
 SQRT2 = math.sqrt(2.0)
 
 
+def characteristic_function(v, kind: str, t):
+    """phi_S(t): prod cos(a_i t) for Rademacher, prod 1/(1 + a_i^2 t^2/2)
+    for the two-sided exponential.  Vectorized over t."""
+    if kind not in ("rademacher", "symExponential"):
+        raise ValueError(f"characteristic function defined for rademacher/symExponential, got {kind!r}")
+    a = v.as_array()
+    t_arr = np.asarray(t, dtype=float)
+    if kind == "rademacher":
+        out = np.prod(np.cos(np.outer(t_arr.ravel(), a)), axis=1)
+    else:
+        out = np.exp(-np.sum(np.log1p(0.5 * np.outer(t_arr.ravel(), a) ** 2), axis=1))
+    out = out.reshape(t_arr.shape)
+    return float(out) if np.isscalar(t) or t_arr.shape == () else out
+
+
 def gaussian_abs_moment_quad(p: float) -> float:
     """E|N(0,1)|^p by direct quadrature against the normal density."""
     val, _ = integrate.quad(

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from momentbounds import cli
+from momentbounds import cli, summoments
 from momentbounds.errors import JobValidationError
+from momentbounds.summoments import MomentEstimate, Rigor
 
 
 def invoke(argv, capsys):
@@ -127,10 +128,11 @@ class TestEngineFailureExitCodes:
         assert "quadrature" in err
         assert out == ""
 
-    def test_unrenderable_record_exits_capacity(self, capsys):
-        # the raw moment 2^1e6 / 2 overflows to inf, which JSON cannot carry
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unrenderable_record_exits_capacity(self, fmt, capsys):
+        # the raw moment 2^1e6 / 2 overflows to inf, which neither format carries
         status, out, err = invoke(
-            ["moment", "--coeffs", "1,1", "--dist", "rademacher", "--p", "1e6"], capsys
+            ["moment", "--coeffs", "1,1", "--dist", "rademacher", "--p", "1e6", "--format", fmt], capsys
         )
         assert status == cli.EXIT_CAPACITY
         assert "render" in err
@@ -188,6 +190,53 @@ class TestMomentCommand:
         )
         assert status == cli.EXIT_USAGE
         assert "engine[0]" in err
+
+
+class TestEngineRegistry:
+    def test_every_engine_is_accepted(self):
+        for name, engine in summoments.ENGINES.items():
+            rigor = Rigor.exact() if engine.exact else Rigor.tolerance(1e-6)
+            assert MomentEstimate.from_raw(3.0, 8.0, name, rigor).method == name
+            if not engine.exact:
+                with pytest.raises(ValueError, match="cannot claim exact"):
+                    MomentEstimate.from_raw(3.0, 8.0, name, Rigor.exact())
+            for law in engine.laws:
+                doc = {"command": "moment", "coefficients": [1.0], "distribution": law,
+                       "p": [3.0], "engine": [name], "seed": 1}
+                if law == "weibullTail":
+                    doc["alpha"] = 2.0
+                assert cli.parse_job(doc, {}).engine == [name]
+
+    def test_weibull_alpha_one_is_the_exponential(self, capsys):
+        # same engines, values and bound sources, and no seed needed: only
+        # the job fields differ
+        skip = ("digest", "distribution", "alpha")
+        for command in ("moment", "bounds"):
+            got = []
+            for dist in (["symExponential"], ["weibullTail", "--alpha", "1"]):
+                argv = [command, "--coeffs", "2,1,1,0.5", "--p", "3,4", "--dist", *dist]
+                status, out, _ = invoke(argv, capsys)
+                assert status == cli.EXIT_OK
+                got.append([{k: v for k, v in r.items() if k not in skip} for r in records_of(out)])
+            assert got[0] == got[1]
+
+    @pytest.mark.parametrize(
+        "dist, sources",
+        [
+            (["rademacher"], ["khintchine", "comp2", "estrad", "logconc", "gaussGap"]),
+            (["symExponential"], ["estexp", "logconc", "gaussGap"]),
+            (["gaussian"], ["logconc", "gaussGap"]),
+            (["weibullTail", "--alpha", "2", "--seed", "5", "--samples", "10000"], ["logconc", "gaussGap"]),
+        ],
+    )
+    def test_bounds_sources_in_order(self, dist, sources, capsys):
+        argv = ["bounds", "--coeffs", "1,0.5,0.25,0.125", "--p", "2,4", "--dist", *dist]
+        status, out, _ = invoke(argv, capsys)
+        assert status == cli.EXIT_OK
+        recs = records_of(out)
+        assert [r["source"] for r in recs if r["p"] == 4.0] == sources
+        # logconc and gaussGap need p >= 3
+        assert [r["source"] for r in recs if r["p"] == 2.0] == sources[:-2]
 
 
 class TestBoundsCommand:

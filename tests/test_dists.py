@@ -10,7 +10,6 @@ from momentbounds.dists import (
     gamma_p,
     log_gamma,
     normalize_to_unit_variance,
-    sample,
     sample_array,
     single_abs_moment,
     single_moment_exponential,
@@ -216,7 +215,3 @@ class TestSampling:
         c = sample_array(dists.gaussian(), substream(7, 1), 8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_scalar_sample_matches_stream(self):
-        d = dists.sym_exponential()
-        assert sample(d, substream(9, 0)) == sample_array(d, substream(9, 0), 1)[0]

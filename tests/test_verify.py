@@ -123,11 +123,12 @@ class TestP24:
 
 
 class TestExtremality:
-    def test_alpha_one_degenerate_within_ci(self):
-        # X = E in law: the right link has zero structural margin
+    def test_alpha_one_degenerate_link_is_exact(self):
+        # X = E in law: the middle term is the exact exponential norm, so the
+        # right link is an exact equality, neither violated nor inconclusive
         r = check_extremality(CV([1, 1, 1]), 1.0, 3.0, seed=4, samples=50_000)
-        assert r.violations == 0
-        assert r.inconclusive >= 1  # CI straddles the equality
+        assert r.violations == 0 and r.inconclusive == 0
+        assert r.worst_margin == 0.0
 
     def test_alpha_two(self):
         r = check_extremality(CV([1, 1, 1]), 2.0, 4.0, seed=4, samples=50_000)
@@ -218,6 +219,13 @@ class TestSuite:
         with pytest.raises(ValueError):
             suite(1, checks=("bogus",))
 
+    def test_extremality_seed_50_has_no_false_violation(self):
+        # at alpha = 1 the middle term is the exact exponential norm, not a
+        # Monte Carlo interval around it (200k samples, as the CLI runs it)
+        (rep,) = suite(50, samples=200_000, checks=("extremality",))
+        assert rep.cases == 144
+        assert rep.violations == 0
+
 
 class TestReferenceEstimate:
     def test_ladders(self):
@@ -231,6 +239,11 @@ class TestReferenceEstimate:
         assert est.method == "closedForm"
         est = reference_estimate(CV([1]), dists.weibull_tail(2.0), 3.0, samples=10**4, seed=1)
         assert est.method == "monteCarlo"
+        # Weibull alpha = 1 is the two-sided exponential: its exact ladder, no seed
+        for v, method in (([2, 1], "partialFractions"), ([1, 1], "recursion")):
+            est = reference_estimate(CV(v), dists.weibull_tail(1.0), 3.0)
+            assert est.method == method
+            assert est == reference_estimate(CV(v), dists.sym_exponential(), 3.0)
 
     def test_prefer_override(self):
         est = reference_estimate(
