@@ -127,7 +127,7 @@ def logconcave_bounds(
     v: CoefficientVector, d: DistributionSpec, p: float, head_norm: float
 ) -> BoundInterval:
     """Two-sided bound for ||sum a_i X_i||_p, X symmetric unit-variance with
-    log-concave tails, p >= 3.
+    log-concave tails, p >= 3, from the rearranged v.
 
     ``head_norm`` must be the value of ||sum_{i<p} a_i X_i||_p computed by a
     summoments engine over coeffs.strict_head(v, p); the head (i < p) and
@@ -136,10 +136,7 @@ def logconcave_bounds(
     """
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p!r}")
-    if not v.is_rearranged():
-        raise ValueError("logconcave_bounds requires a rearranged vector")
-    m = coeffs.half_ceil(p)
-    tail = CoefficientVector(v.values[min(m - 1, len(v)) :])
+    _, tail = coeffs.head_tail_split(v, p)  # refuses an unrearranged v
     g_tail = gamma_p(p) * coeffs.norm(tail, 2)
     return BoundInterval(max(g_tail, head_norm), g_tail + head_norm, "logconc", p)
 

@@ -61,9 +61,7 @@ _CSV_COLUMNS = {
     "sweep": [
         "command", "digest", "seed", "version", "family", "n", "distribution",
         "alpha", "p", "method", "value",
-        "khintchine_lower", "khintchine_upper", "comp2_lower", "comp2_upper",
-        "estrad_lower", "estrad_upper", "estexp_lower", "estexp_upper",
-        "logconc_lower", "logconc_upper", "gaussGap_lower", "gaussGap_upper",
+        *(f"{src}_{end}" for src in bounds.BOUND_SOURCES for end in ("lower", "upper")),
     ],
     "search": [
         "command", "digest", "seed", "version", "check", "iterations", "cases",
@@ -103,6 +101,18 @@ def _is_number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """A number that converts to a float: a JSON integer beyond the double
+    range is none."""
+    if not _is_number(x):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
 def parse_job(document: dict | None, overrides: dict) -> JobSpec:
     """Merge document and flag overrides, then validate everything.
 
@@ -134,18 +144,18 @@ def _validate(job: JobSpec):
         if not isinstance(job.coefficients, (list, tuple)) or len(job.coefficients) == 0:
             _fail("coefficients", "must be a nonempty list of finite reals")
         for i, x in enumerate(job.coefficients):
-            if not _is_number(x) or not math.isfinite(x):
+            if not _is_real(x) or not math.isfinite(x):
                 _fail(f"coefficients[{i}]", f"must be a finite real, got {x!r}")
     if job.distribution is not None and job.distribution not in dists.KINDS:
         _fail("distribution", f"must be one of {dists.KINDS}, got {job.distribution!r}")
     if job.alpha is not None:
-        if not _is_number(job.alpha) or job.alpha < 1:
-            _fail("alpha", f"must be a real >= 1, got {job.alpha!r}")
+        if not _is_real(job.alpha) or not math.isfinite(job.alpha) or job.alpha < 1:
+            _fail("alpha", f"must be a finite real >= 1, got {job.alpha!r}")
     if job.p is not None:
         if not isinstance(job.p, (list, tuple)) or len(job.p) == 0:
             _fail("p", "must be a nonempty list of reals >= 1")
         for i, x in enumerate(job.p):
-            if not _is_number(x) or not math.isfinite(x) or x < 1:
+            if not _is_real(x) or not math.isfinite(x) or x < 1:
                 _fail(f"p[{i}]", f"must be a finite real >= 1, got {x!r}")
     if job.engine is not None:
         for i, e in enumerate(job.engine):
@@ -168,7 +178,7 @@ def _validate(job: JobSpec):
         ok = (
             isinstance(job.gk_band, (list, tuple))
             and len(job.gk_band) == 2
-            and all(_is_number(x) for x in job.gk_band)
+            and all(_is_real(x) for x in job.gk_band)
             and 0 < job.gk_band[0] < job.gk_band[1]
         )
         if not ok:
@@ -223,22 +233,13 @@ def _coeff_cell(values) -> str:
 def _run_moment(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     v = CoefficientVector(job.coefficients)
     d = _distribution(job)
+    # default: the law's ladder, with fallback; an explicit list: one record
+    # per requested engine, no fallback
+    ladders = [None] if job.engine is None else [[e] for e in job.engine]
     records = []
     for p in job.p:
-        if job.engine is None:
-            # default: strongest applicable engine, with fallback
-            ests = [
-                verify.reference_estimate(v, d, float(p), samples=job.samples, seed=job.seed)
-            ]
-        else:
-            # explicit list: one record per requested engine, no fallback
-            ests = [
-                verify.reference_estimate(
-                    v, d, float(p), samples=job.samples, seed=job.seed, prefer=[e]
-                )
-                for e in job.engine
-            ]
-        for est in ests:
+        for prefer in ladders:
+            est = verify.reference_estimate(v, d, float(p), samples=job.samples, seed=job.seed, prefer=prefer)
             r = est.rigor
             records.append(
                 {
@@ -513,6 +514,9 @@ def main(argv: list[str] | None = None) -> int:
     except MomentBoundsError as exc:
         # an engine refused or failed and the ladder had nothing left
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except OverflowError as exc:
+        print(f"error: result out of float range: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     buffer = io.StringIO()
     try:

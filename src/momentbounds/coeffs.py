@@ -109,12 +109,17 @@ def norm(v: CoefficientVector, q: float) -> float:
         return float(a.max())
     if q == 1:
         return float(a.sum())
-    if q == 2:
-        return float(np.sqrt(np.sum(a * a)))
-    # scale out the max to avoid overflow for large q
     top = float(a.max())
     if top == 0.0:
         return 0.0
+    if q == 2:
+        # scaling by a power of two is exact, so in-range results keep every
+        # bit while squares of tiny or huge entries neither underflow nor
+        # overflow
+        e = math.frexp(top)[1]
+        s = np.ldexp(a, -e)
+        return math.ldexp(float(np.sqrt(np.sum(s * s))), e)
+    # scale out the max to avoid overflow for large q
     return top * float(np.sum((a / top) ** q)) ** (1.0 / q)
 
 

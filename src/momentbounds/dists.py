@@ -12,7 +12,9 @@ The module also owns the special-function contract (log-gamma to 1e-12
 relative on [0.5, 200]; all Gamma ratios evaluated in log space), the
 Gaussian p-norm gamma_p, and the moment recursion
 E|aE+b|^p = |b|^p + p(p-1)/2 * a^2 * E|aE+b|^{p-2} for the two-sided
-exponential, with an adaptive-quadrature base case for fractional orders.
+exponential.  Its base case for fractional orders is adaptive quadrature
+split at the kink of |a x + b|, to relative 1e-10; every step of the
+recursion adds nonnegative terms, so the whole moment keeps that bound.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "rademacher",
     "sym_exponential",
     "gaussian",
-    "normalize_to_unit_variance",
     "weibull_tail",
     "log_gamma",
     "gamma_p",
@@ -42,7 +43,6 @@ __all__ = [
     "single_abs_moment",
     "single_moment_rademacher",
     "single_moment_exponential",
-    "single_moment_exponential_quadrature",
     "sample_array",
     "substream",
 ]
@@ -73,8 +73,8 @@ class DistributionSpec:
     """One symmetric unit-variance law.
 
     For weibullTail the scale must equal the unit-variance value
-    Gamma(1 + 2/alpha)^{-1/2}; construct through weibull_tail() /
-    normalize_to_unit_variance() rather than by hand.
+    Gamma(1 + 2/alpha)^{-1/2}; construct it through weibull_tail() rather
+    than by hand.
     """
 
     kind: str
@@ -115,7 +115,7 @@ def gaussian() -> DistributionSpec:
     return DistributionSpec(GAUSSIAN)
 
 
-def normalize_to_unit_variance(alpha: float) -> DistributionSpec:
+def weibull_tail(alpha: float) -> DistributionSpec:
     """Weibull-tail law P(|X| >= t) = exp(-(t/b)^alpha) with E X^2 = 1.
 
     Rejects alpha < 1: those tails are not log-concave.
@@ -123,11 +123,6 @@ def normalize_to_unit_variance(alpha: float) -> DistributionSpec:
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha!r}")
     return DistributionSpec(WEIBULL_TAIL, alpha=float(alpha), scale=_weibull_unit_scale(alpha))
-
-
-def weibull_tail(alpha: float) -> DistributionSpec:
-    """Alias for normalize_to_unit_variance."""
-    return normalize_to_unit_variance(alpha)
 
 
 def tail_probability(d: DistributionSpec, t: float) -> float:
@@ -199,8 +194,9 @@ def single_moment_exponential(a: float, b: float, p: float) -> float:
     For p >= 2 the exact recursion
         E|aE+b|^p = |b|^p + p(p-1)/2 * a^2 * E|aE+b|^{p-2}
     descends until the residual order lies in [0, 2); the base case is
-    adaptive quadrature against the density (relative 1e-10).  b == 0 short-
-    circuits to the closed form |a|^p 2^{-p/2} Gamma(p+1).
+    adaptive quadrature against the density split at the kink, relative
+    error 1e-10, which the recursion's nonnegative terms keep.  b == 0
+    short-circuits to the closed form |a|^p 2^{-p/2} Gamma(p+1).
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
@@ -217,46 +213,33 @@ def single_moment_exponential(a: float, b: float, p: float) -> float:
     return _exp_affine_moment_quadrature(a, b, p)
 
 
-def single_moment_exponential_quadrature(a: float, b: float, p: float) -> float:
-    """E|a E + b|^p by direct quadrature, any p >= 0.
-
-    Independent of the recursion path; used to cross-check the recursion
-    identity with both sides computed by different methods.
-    """
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p!r}")
-    a = float(a)
-    b = float(b)
-    if p == 0:
-        return 1.0
-    if a == 0.0:
-        return abs(b) ** p
-    return _exp_affine_moment_quadrature(a, b, p)
+# beyond this value of sqrt2 |b/a| the density at the kink, exp(-40), carries
+# no mass a double can see
+_KINK_NEGLIGIBLE = 40.0
 
 
 def _exp_affine_moment_quadrature(a: float, b: float, p: float) -> float:
-    """Quadrature core: the substitution u = exp(-sqrt2 x) maps the
-    half-line integral against the density onto (0, 1]:
+    """Quadrature core, a and b nonzero.  By the symmetry of E,
 
-        E|aE+b|^p = 1/2 * int_0^1 (|a x_u + b|^p + |a x_u - b|^p) du,
-        x_u = -ln(u)/sqrt2.
+        E|aE+b|^p = int_0^inf (|a x + b|^p + |a x - b|^p)/2 sqrt2 exp(-sqrt2 x) dx.
 
-    The kink of |a x + b| at x = |b/a| is passed to the integrator as an
-    interior break point.
+    The range is split at the kink x = |b/a|, each piece to relative error
+    1e-10.  When the density at the kink is negligible a single
+    semi-infinite call covers the range: a finite piece [0, |b/a|] far wider
+    than the density would let QAGS miss the mass near 0 altogether.
     """
     aa = abs(a)
     ab = abs(b)
 
-    def f(u: float) -> float:
-        x = -math.log(u) / SQRT2
-        return 0.5 * (abs(aa * x + ab) ** p + abs(aa * x - ab) ** p)
+    def f(x: float) -> float:
+        return 0.5 * (abs(aa * x + ab) ** p + abs(aa * x - ab) ** p) * SQRT2 * math.exp(-SQRT2 * x)
 
-    # |b/a| large pushes the kink into the singular corner u ~ 0 where a
-    # break point only destabilizes the extrapolation; QAGS resolves the
-    # mild C0 kink there on its own
-    kink = math.exp(-SQRT2 * ab / aa)
-    points = [kink] if 1e-3 < kink < 1.0 else None
-    return integrate_adaptive(f, 0.0, 1.0, epsrel=1e-10, points=points)
+    kink = ab / aa
+    if SQRT2 * kink > _KINK_NEGLIGIBLE:
+        return integrate_adaptive(f, 0.0, math.inf, epsrel=1e-10)
+    return integrate_adaptive(f, 0.0, kink, epsrel=1e-10) + integrate_adaptive(
+        f, kink, math.inf, epsrel=1e-10
+    )
 
 
 # --- sampling ---------------------------------------------------------------

@@ -7,7 +7,7 @@ possibly-degraded value; callers never get a silently bad integral.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from scipy import integrate
 
@@ -26,17 +26,12 @@ def integrate_adaptive(
     epsrel: float = 1e-10,
     epsabs: float = 0.0,
     limit: int = DEFAULT_SUBDIVISION_CAP,
-    points: Sequence[float] | None = None,
 ) -> float:
-    """Integrate f over [a, b] to the requested relative tolerance.
-
-    ``points`` marks interior kinks/singularities (finite intervals only).
-    Raises QuadratureError when QUADPACK signals non-convergence or the
-    subdivision cap overflows.
+    """Integrate f over [a, b] to the requested relative tolerance; b may
+    be +inf.  Raises QuadratureError when QUADPACK signals non-convergence
+    or the subdivision cap overflows.
     """
-    result = integrate.quad(
-        f, a, b, epsrel=epsrel, epsabs=epsabs, limit=limit, points=points, full_output=1
-    )
+    result = integrate.quad(f, a, b, epsrel=epsrel, epsabs=epsabs, limit=limit, full_output=1)
     if len(result) > 3:
         # full_output packs an explanation string only on failure
         message = result[3] if isinstance(result[3], str) else "quadrature failed"

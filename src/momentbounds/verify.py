@@ -75,22 +75,6 @@ class VerificationReport:
     seed: int
     witness: tuple[float, ...] | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "cases": self.cases,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "ci_resolved": self.ci_resolved,
-            "inconclusive": self.inconclusive,
-            "seed": self.seed,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
-
 
 def merge_reports(reports: Sequence[VerificationReport], check: str, seed: int) -> VerificationReport:
     """Associative, commutative fold of per-instance reports."""
@@ -104,8 +88,6 @@ def merge_reports(reports: Sequence[VerificationReport], check: str, seed: int) 
         if r.worst_margin < worst:
             worst = r.worst_margin
             witness = r.witness
-    if not reports:
-        worst = math.inf
     return VerificationReport(check, cases, violations, worst, ci_resolved, inconclusive, seed, witness)
 
 
@@ -166,10 +148,10 @@ class _Tally:
             self.inconclusive += 1
         return margin
 
-    def report(self, check: str, seed: int, witness=None) -> VerificationReport:
+    def report(self, check: str, seed: int) -> VerificationReport:
         worst = self.worst if self.cases else math.inf
         return VerificationReport(
-            check, self.cases, self.violations, worst, self.ci_resolved, self.inconclusive, seed, witness
+            check, self.cases, self.violations, worst, self.ci_resolved, self.inconclusive, seed
         )
 
 
@@ -450,7 +432,7 @@ class SearchConfig:
 def _search_margin(check: str, inst: tuple, rng: np.random.Generator) -> float:
     """Worst margin of one instance, exact/deterministic engines only: with
     no seed, the exponential ladder stops at the recursion, which refuses
-    nothing."""
+    nothing.  The vector of an instance is already rearranged."""
     if check == "cos_product":
         v, = inst
         t = np.concatenate([np.geomspace(1e-3, 50.0, 64), rng.uniform(0.0, 100.0, 32)])
@@ -461,19 +443,18 @@ def _search_margin(check: str, inst: tuple, rng: np.random.Generator) -> float:
         rhs = abs(b) ** p + 0.5 * p * (p - 1.0) * a * a * abs(b) ** (p - 2.0)
         return (lhs - rhs) / max(1.0, abs(rhs))
     v, p = inst
-    rearranged = coeffs.rearrange(v)
-    rad = _Norm.from_estimate(summoments.rademacher_sum_moment(rearranged, p))
+    rad = _Norm.from_estimate(summoments.rademacher_sum_moment(v, p))
     if check == "comp2":
-        _, tail = coeffs.head_tail_split(rearranged, p)
+        _, tail = coeffs.head_tail_split(v, p)
         lap = _Norm.from_estimate(reference_estimate(tail, dists.sym_exponential(), p))
         links = [
-            gamma_p(p) * coeffs.norm(rearranged, 2) - rad.value,
+            gamma_p(p) * coeffs.norm(v, 2) - rad.value,
             rad.value - lap.value,
             lap.value - gamma_p(p) * coeffs.norm(tail, 2),
         ]
         return min(links)
     # p24
-    rest = CoefficientVector(rearranged.values[1:])
+    rest = CoefficientVector(v.values[1:])
     lap = _Norm.from_estimate(reference_estimate(rest, dists.sym_exponential(), p))
     return rad.value - lap.value
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 SQRT2 = math.sqrt(2.0)
 
@@ -95,35 +95,67 @@ def enumeration_moment(values, p: float) -> float:
     return total / (1 << n)
 
 
+def _tail_exponent(d, x):
+    """N(x) = -ln P(|X| >= x), vectorized over x >= 1, from the law's closed
+    tail."""
+    if d.kind == "rademacher":
+        return np.full_like(x, np.inf)
+    if d.kind == "symExponential":
+        return SQRT2 * x
+    if d.kind == "gaussian":
+        with np.errstate(divide="ignore"):  # erfc underflows to 0 far out
+            return -np.log(special.erfc(x / SQRT2))
+    return (x / d.scale) ** d.alpha
+
+
+def _cost(d, x):
+    """M(x) = x^2 on [0, 1] and N(x) beyond, x >= 0."""
+    return np.where(x <= 1.0, x * x, _tail_exponent(d, np.maximum(x, 1.0)))
+
+
+def _largest_sublevel(d, y):
+    """max{x >= 0 : M(x) <= y} for y >= 0; the tail piece is entered once y
+    reaches N(1), and Rademacher has none."""
+    y = np.asarray(y, dtype=float)
+    quad = np.where(y < 1.0, np.sqrt(y), 1.0)
+    if d.kind == "rademacher":
+        return quad
+    if d.kind == "symExponential":
+        inv = y / SQRT2
+    elif d.kind == "gaussian":
+        inv = SQRT2 * special.erfcinv(np.exp(-y))
+    else:
+        inv = d.scale * y ** (1.0 / d.alpha)
+    return np.where(y >= _tail_exponent(d, 1.0), np.maximum(quad, inv), quad)
+
+
 def gk_grid_oracle(values, Ms, p: float, step: float = 1e-3) -> float:
     """Brute-force grid search for the dual-norm functional, n <= 3.
 
-    The last coordinate is solved exactly from the remaining budget, so the
-    grid error is quadratic in the step near the optimum.
+    Only the law of each Orlicz function is read; its cost M and largest
+    sublevel come from the closed tails above.  The last coordinate is
+    solved exactly from the remaining budget, so the grid error is
+    quadratic in the step near the optimum.
     """
     a = [abs(float(x)) for x in values]
+    ds = [m.dist for m in Ms]
     n = len(a)
     if n == 1:
-        return a[0] * Ms[0].largest_sublevel(p)
-    best = 0.0
-    grid1 = np.arange(0.0, Ms[0].largest_sublevel(p) + step, step)
+        return a[0] * float(_largest_sublevel(ds[0], p))
+    grid1 = np.arange(0.0, float(_largest_sublevel(ds[0], p)) + step, step)
+    r1 = p - _cost(ds[0], grid1)
+    keep = r1 >= 0
+    grid1, r1 = grid1[keep], r1[keep]
     if n == 2:
-        for b1 in grid1:
-            rem = p - Ms[0](b1)
-            if rem < 0:
-                continue
-            best = max(best, a[0] * b1 + a[1] * Ms[1].largest_sublevel(rem))
-        return best
+        return float(np.max(a[0] * grid1 + a[1] * _largest_sublevel(ds[1], r1), initial=0.0))
     if n != 3:
         raise ValueError("oracle supports n <= 3")
-    for b1 in grid1:
-        r1 = p - Ms[0](b1)
-        if r1 < 0:
-            continue
-        b2cap = min(Ms[1].largest_sublevel(p), Ms[1].largest_sublevel(r1))
-        for b2 in np.arange(0.0, b2cap + step, step):
-            rem = r1 - Ms[1](b2)
-            if rem < 0:
-                continue
-            best = max(best, a[0] * b1 + a[1] * b2 + a[2] * Ms[2].largest_sublevel(rem))
+    b2caps = np.minimum(_largest_sublevel(ds[1], p), _largest_sublevel(ds[1], r1))
+    best = 0.0
+    for b1, rest, b2cap in zip(grid1, r1, b2caps):
+        b2 = np.arange(0.0, b2cap + step, step)
+        rem = rest - _cost(ds[1], b2)
+        keep = rem >= 0
+        val = a[0] * b1 + a[1] * b2[keep] + a[2] * _largest_sublevel(ds[2], rem[keep])
+        best = float(np.max(val, initial=best))
     return best

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
 from momentbounds import cli, summoments
-from momentbounds.errors import JobValidationError
+from momentbounds.errors import JobValidationError, QuadratureError
 from momentbounds.summoments import MomentEstimate, Rigor
 
 
@@ -82,12 +83,37 @@ _BASE_JOB = {"command": "moment", "coefficients": [1.0, 2.0], "distribution": "r
     ],
 )
 def test_booleans_are_not_numbers(fields, path, tmp_path, capsys):
+    _assert_rejected_on(path, fields, tmp_path, capsys)
+
+
+def _assert_rejected_on(path, fields, tmp_path, capsys):
     doc = tmp_path / "job.json"
     doc.write_text(json.dumps({**_BASE_JOB, **fields}))
     status, out, err = invoke(["--job", str(doc)], capsys)
     assert status == cli.EXIT_USAGE
     assert err.startswith(f"error: {path}:")
     assert out == ""
+
+
+_HUGE = 10**400  # a JSON integer no double holds
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"coefficients": [_HUGE, 1.0]}, "coefficients[0]"),
+        ({"p": [3.0, _HUGE]}, "p[1]"),
+        ({"distribution": "weibullTail", "alpha": _HUGE, "seed": 1}, "alpha"),
+        ({"command": "verify", "seed": 1, "gk_band": [1.0, _HUGE]}, "gk_band"),
+    ],
+)
+def test_integers_beyond_float_range_are_rejected(fields, path, tmp_path, capsys):
+    _assert_rejected_on(path, fields, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_alpha_must_be_finite(alpha, tmp_path, capsys):
+    _assert_rejected_on("alpha", {"distribution": "weibullTail", "alpha": alpha, "seed": 1}, tmp_path, capsys)
 
 
 _THIRTY_ONES = ",".join(["1"] * 30)
@@ -118,7 +144,13 @@ class TestMissingSeedOnFallback:
 
 
 class TestEngineFailureExitCodes:
-    def test_quadrature_failure_exits_capacity(self, capsys):
+    def test_quadrature_failure_exits_capacity(self, capsys, monkeypatch):
+        # no input is known to defeat the Haagerup tail quadrature, so the
+        # integrator fails here as QUADPACK does
+        def diverges(f, a, b, **_):
+            raise QuadratureError(f"adaptive quadrature on [{a!r}, {b!r}] did not converge")
+
+        monkeypatch.setattr(summoments, "integrate_adaptive", diverges)
         status, out, err = invoke(
             ["moment", "--coeffs", "0.8,0.7,0.5,0.4,0.2", "--dist", "rademacher", "--p", "2.5",
              "--engine", "haagerup"],
@@ -126,6 +158,23 @@ class TestEngineFailureExitCodes:
         )
         assert status == cli.EXIT_CAPACITY
         assert "quadrature" in err
+        assert out == ""
+
+    def test_haagerup_rademacher_tail_converges(self, capsys):
+        argv = ["moment", "--coeffs", "0.8,0.7,0.5,0.4,0.2", "--dist", "rademacher", "--p", "2.5"]
+        status, out, _ = invoke(argv + ["--engine", "haagerup,enumeration"], capsys)
+        assert status == cli.EXIT_OK
+        haagerup, exact = records_of(out)
+        assert haagerup["method"] == "haagerup" and exact["method"] == "enumeration"
+        assert haagerup["raw_moment"] == pytest.approx(exact["raw_moment"], rel=haagerup["epsilon"])
+
+    def test_overflowing_moment_exits_capacity(self, capsys):
+        # ||S||_5 is about 4e100, so its fifth power leaves the float range
+        status, out, err = invoke(
+            ["moment", "--coeffs", "1e100,2e100", "--dist", "gaussian", "--p", "5"], capsys
+        )
+        assert status == cli.EXIT_CAPACITY
+        assert err.startswith("error: result out of float range")
         assert out == ""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -249,6 +298,29 @@ class TestBoundsCommand:
         est = next(r for r in recs if r["source"] == "estexp")
         assert est["lower"] == pytest.approx(1.8612, abs=1e-4)
         assert est["upper"] == pytest.approx(5.8612, abs=1e-4)
+
+
+class TestTinyScales:
+    """The l2 norm of tiny coefficients squares nothing that underflows."""
+
+    def test_bounds_contain_the_norm(self, capsys):
+        status, out, _ = invoke(
+            ["bounds", "--coeffs", "1e-200,1e-200", "--dist", "rademacher", "--p", "4"], capsys
+        )
+        assert status == cli.EXIT_OK
+        norm = 8 ** 0.25 * 1e-200  # E S^4 = 8e-800 for S = 1e-200 (eps_1 + eps_2)
+        recs = {r["source"]: r for r in records_of(out)}
+        for source in ("khintchine", "comp2", "estrad", "gaussGap"):
+            assert recs[source]["lower"] <= norm <= recs[source]["upper"], source
+
+    def test_gaussian_moment_refuses_a_wrong_exact_value(self, capsys):
+        # the norm 5e-160 is exact, but its square lies below the normal range
+        status, out, err = invoke(
+            ["moment", "--coeffs", "3e-160,4e-160", "--dist", "gaussian", "--p", "2"], capsys
+        )
+        assert status == cli.EXIT_USAGE
+        assert "raw_moment" in err
+        assert out == ""
 
 
 class TestVerifyCommand:

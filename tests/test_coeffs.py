@@ -29,6 +29,12 @@ def test_norm_examples():
     assert norm(CoefficientVector([1, 1, 1]), 1) == 3.0
 
 
+@pytest.mark.parametrize("scale", [1e-200, 3e-160, 1e200])
+def test_l2_norm_is_scale_safe(scale):
+    # the squares of these entries underflow or overflow a double
+    assert norm(CoefficientVector([3 * scale, 4 * scale]), 2) == pytest.approx(5 * scale, rel=1e-15, abs=0)
+
+
 def test_norm_rejects_q_below_one():
     with pytest.raises(ValueError):
         norm(CoefficientVector([1.0]), 0.5)

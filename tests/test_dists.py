@@ -9,11 +9,9 @@ from momentbounds import dists
 from momentbounds.dists import (
     gamma_p,
     log_gamma,
-    normalize_to_unit_variance,
     sample_array,
     single_abs_moment,
     single_moment_exponential,
-    single_moment_exponential_quadrature,
     single_moment_rademacher,
     substream,
     tail_probability,
@@ -32,7 +30,7 @@ class TestTailProbability:
         assert got == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_weibull_alpha2_normalized(self):
-        d = normalize_to_unit_variance(2.0)
+        d = dists.weibull_tail(2.0)
         assert d.scale == pytest.approx(1.0, rel=1e-14)  # Gamma(2) = 1
         assert tail_probability(d, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
@@ -55,11 +53,11 @@ class TestTailProbability:
 class TestNormalization:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_unit_variance_by_quadrature(self, alpha):
-        d = normalize_to_unit_variance(alpha)
+        d = dists.weibull_tail(alpha)
         assert oracles.weibull_variance_quad(alpha, d.scale) == pytest.approx(1.0, abs=1e-10)
 
     def test_alpha_one_matches_sym_exponential_tail(self):
-        d = normalize_to_unit_variance(1.0)
+        d = dists.weibull_tail(1.0)
         assert d.scale == pytest.approx(1.0 / SQRT2, rel=1e-14)
         for t in [0.0, 0.3, 1.0, 4.0]:
             assert tail_probability(d, t) == pytest.approx(
@@ -67,12 +65,12 @@ class TestNormalization:
             )
 
     def test_alpha3_scale(self):
-        d = normalize_to_unit_variance(3.0)
+        d = dists.weibull_tail(3.0)
         assert d.scale == pytest.approx(math.gamma(5.0 / 3.0) ** -0.5, rel=1e-13)
 
     def test_rejects_alpha_below_one(self):
         with pytest.raises(ValueError):
-            normalize_to_unit_variance(0.9)
+            dists.weibull_tail(0.9)
 
     def test_spec_rejects_wrong_scale(self):
         with pytest.raises(ValueError):
@@ -131,15 +129,39 @@ class TestSingleMomentExponential:
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.7, 6.0])
     def test_recursion_identity_vs_quadrature(self, p):
         # both sides computed by different routes: full recursion vs the
-        # identity with its inner moment from direct quadrature
+        # identity with its inner moment from the oracle's direct quadrature
         rng = np.random.default_rng(101)
         for _ in range(12):
             a = float(rng.uniform(-3, 3))
             b = float(rng.uniform(-3, 3))
             lhs = single_moment_exponential(a, b, p)
-            inner = single_moment_exponential_quadrature(a, b, p - 2)
+            inner = oracles.exp_affine_moment_quad(a, b, p - 2)
             rhs = abs(b) ** p + 0.5 * p * (p - 1) * a * a * inner
             assert lhs == pytest.approx(rhs, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "a, b, p",
+        [
+            (-0.2122, 1.1295, 1.0),  # density at the kink below 1e-3
+            (-0.2122, 1.1295, 3.0),
+            (1e-6, 1.0, 0.5),  # tiny |a|: no mass at the kink
+            (1e-6, 1.0, 2.5),
+            (1.0, 1e-6, 0.5),  # tiny |b|: the kink next to the origin
+            (1.0, 1e-6, 3.7),
+        ],
+    )
+    def test_against_mpmath(self, a, b, p):
+        mpmath.mp.dps = 30
+        am, bm, pm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(p)
+        kink = abs(bm / am)
+        r2 = mpmath.sqrt(2)
+
+        def f(x):
+            # E|aE+b|^p as an integral over |E|, by the symmetry of E
+            return (abs(am * x + bm) ** pm + abs(am * x - bm) ** pm) / 2 * r2 * mpmath.exp(-r2 * x)
+
+        want = float(mpmath.quad(f, sorted({0, min(kink, 60), kink}) + [mpmath.inf]))
+        assert single_moment_exponential(a, b, p) == pytest.approx(want, rel=1e-9)
 
     def test_stein_identity_fourth_moment(self):
         # E f(E) = f(0) + E f''(E)/2 with f = x^4 gives E E^4 = 6
@@ -162,7 +184,7 @@ class TestSingleMomentExponential:
 def test_weibull_closed_moment_vs_quadrature():
     from scipy import integrate
 
-    d = normalize_to_unit_variance(3.0)
+    d = dists.weibull_tail(3.0)
     want, _ = integrate.quad(
         lambda t: 3.0 * t * t * math.exp(-((t / d.scale) ** 3.0)), 0, np.inf
     )
@@ -175,9 +197,9 @@ def test_weibull_closed_moment_vs_quadrature():
         dists.rademacher(),
         dists.sym_exponential(),
         dists.gaussian(),
-        normalize_to_unit_variance(1.0),
-        normalize_to_unit_variance(1.5),
-        normalize_to_unit_variance(3.0),
+        dists.weibull_tail(1.0),
+        dists.weibull_tail(1.5),
+        dists.weibull_tail(3.0),
     ],
 )
 def test_log_concave_tails_midpoint_inequality(d):
@@ -200,7 +222,7 @@ class TestSampling:
         assert x.var() == pytest.approx(1.0, abs=0.01)
 
     def test_weibull_normalized_second_moment(self):
-        d = normalize_to_unit_variance(1.5)
+        d = dists.weibull_tail(1.5)
         x = sample_array(d, substream(3, 0), 10**6)
         assert float(np.mean(x * x)) == pytest.approx(1.0, abs=0.01)
 

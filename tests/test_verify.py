@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -204,8 +205,8 @@ class TestSuite:
     def test_reports_reproducible_byte_for_byte(self):
         r1 = suite(42, samples=20_000, checks=("comp2", "p24"))
         r2 = suite(42, samples=20_000, checks=("comp2", "p24"))
-        s1 = json.dumps([r.to_dict() for r in r1])
-        s2 = json.dumps([r.to_dict() for r in r2])
+        s1 = json.dumps([dataclasses.asdict(r) for r in r1])
+        s2 = json.dumps([dataclasses.asdict(r) for r in r2])
         assert s1 == s2
 
     def test_merge_fold(self):
