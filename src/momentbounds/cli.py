@@ -65,7 +65,7 @@ _CSV_COLUMNS = {
     ],
     "search": [
         "command", "digest", "seed", "version", "check", "iterations", "cases",
-        "violations", "min_margin", "witness",
+        "violations", "min_margin", "witness", "witness_p",
     ],
 }
 
@@ -200,8 +200,8 @@ def _validate(job: JobSpec):
         for i, e in enumerate(engines):
             if law not in summoments.ENGINES[e].laws:
                 _fail(f"engine[{i}]", f"{e!r} does not compute {job.distribution!r} sums")
-        # a law whose default ladder starts with Monte Carlo always samples
-        engines = engines or summoments.LADDERS[law][:1]
+    # a default ladder that falls back to Monte Carlo asks for the seed when
+    # it gets there (verify.reference_estimate)
     stochastic = job.command in ("verify", "sweep", "search") or any(
         summoments.ENGINES[e].seeded for e in engines
     )
@@ -332,6 +332,7 @@ def _run_search(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 "violations": rep.violations,
                 "min_margin": rep.worst_margin,
                 "witness": list(rep.witness) if rep.witness else None,
+                "witness_p": rep.witness_p,
             }
         )
     return (EXIT_VIOLATION if violations else EXIT_OK), records

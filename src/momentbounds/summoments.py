@@ -1,7 +1,9 @@
 """Moment engines for S = sum_i a_i X_i.
 
-Five independent routes to E|S|^p / ||S||_p:
+Six independent routes to E|S|^p / ||S||_p:
 
+* ``evenMoments``      — exact positive-term dynamic program over prefix sums
+                         for even integer p, in O(n p^2) (every law),
 * ``enumeration``      — exact sweep of the 2^{n-1} sign patterns (Rademacher),
 * ``partialFractions`` — exact signed Laplace mixture for distinct nonzero
                          coefficients (two-sided exponential),
@@ -43,6 +45,7 @@ from .errors import (
 from .quadrature import integrate_adaptive
 
 __all__ = [
+    "EVEN_MOMENT_CAP",
     "ENUMERATION_CAP",
     "PARTIAL_FRACTION_GAP",
     "RESIDUE_MAGNITUDE_CAP",
@@ -52,6 +55,7 @@ __all__ = [
     "engine_law",
     "Rigor",
     "MomentEstimate",
+    "even_sum_moment",
     "rademacher_sum_moment",
     "laplace_residues",
     "laplace_sum_moment_exact",
@@ -63,6 +67,9 @@ __all__ = [
 ]
 
 # Named capacity constants, surfaced in error messages.
+# work n (p/2)^2 of evenMoments; the costliest call it admits, p = 2 at
+# n = 2e5, takes about as long as an n = 26 enumeration (0.3 s)
+EVEN_MOMENT_CAP = 200_000
 ENUMERATION_CAP = 26
 PARTIAL_FRACTION_GAP = 1e-6
 RESIDUE_MAGNITUDE_CAP = 1e8
@@ -93,6 +100,9 @@ class Engine:
 _SIGNS = frozenset({dists.RADEMACHER})
 _EXPONENTIAL = frozenset({dists.SYM_EXPONENTIAL})
 ENGINES = {
+    "evenMoments": Engine(
+        "even_sum_moment", frozenset(dists.KINDS), True, (EngineCapacityError,), args=("v", "d", "p")
+    ),
     "enumeration": Engine("rademacher_sum_moment", _SIGNS, True, (EngineCapacityError,)),
     "partialFractions": Engine(
         "laplace_sum_moment_exact", _EXPONENTIAL, True, (DegenerateCoefficientsError, ResidueCancellationError)
@@ -107,10 +117,10 @@ ENGINES = {
 
 # default preference ladder of each engine law, strongest engine first
 LADDERS = {
-    dists.RADEMACHER: ("enumeration", "monteCarlo"),
+    dists.RADEMACHER: ("evenMoments", "enumeration", "monteCarlo"),
     dists.SYM_EXPONENTIAL: ("partialFractions", "recursion", "monteCarlo"),
     dists.GAUSSIAN: ("closedForm",),
-    dists.WEIBULL_TAIL: ("monteCarlo",),
+    dists.WEIBULL_TAIL: ("evenMoments", "monteCarlo"),
 }
 
 
@@ -204,6 +214,81 @@ def _canonical(v: CoefficientVector, drop_zeros: bool = True) -> np.ndarray:
     return a
 
 
+# --- exact even moments -----------------------------------------------------
+
+
+def _even_binomials(half: int) -> list[list[float]]:
+    """Rows C(2k, 2j), j = 0..k, for k = 0..half; exact integers rounded
+    once to float, OverflowError past the float range."""
+    rows = []
+    for k in range(half + 1):
+        c = 1
+        row = [1.0]
+        for j in range(1, k + 1):
+            c = c * (2 * k - 2 * j + 2) * (2 * k - 2 * j + 1) // ((2 * j - 1) * 2 * j)
+            row.append(float(c))
+        rows.append(row)
+    return rows
+
+
+def even_sum_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
+    """Exact E S^p for even integer p, any law, by a dynamic program over
+    the prefix sums S_k = a_1 X_1 + ... + a_k X_k:
+
+        E S_{k+1}^{2m} = sum_{j=0}^{m} C(2m, 2j) a_{k+1}^{2j} E X^{2j} E S_k^{2m-2j},
+
+    with E X^{2j} from dists.single_abs_moment.  The odd moments of a
+    symmetric law vanish, so every term is nonnegative and nothing cancels.
+    The coefficients are divided by the power of two 2^e with
+    max |a_i| < 2^e <= 2 max |a_i|, which is exact, and the raw moment is
+    multiplied back by 2^{e p}; integer inputs therefore give exact integer
+    moments.  Work is n (p/2)^2.
+
+    Refuses (EngineCapacityError) a p that is not an even integer, work
+    above EVEN_MOMENT_CAP, and a moment of the sum or of one variable
+    beyond the float range.
+    """
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p!r}")
+    if p % 2 != 0:
+        raise EngineCapacityError(f"evenMoments handles even integer p, got p={p!r}")
+    a = _canonical(v)
+    n = len(a)
+    half = int(p) // 2
+    if n * half * half > EVEN_MOMENT_CAP:
+        raise EngineCapacityError(
+            f"evenMoments handles work n (p/2)^2 <= {EVEN_MOMENT_CAP}, got {n * half * half}"
+        )
+    e = math.frexp(float(a[0]))[1] if n else 0
+    try:
+        rows = _even_binomials(half)
+        ex = [dists.single_abs_moment(d, 2.0 * j) for j in range(half + 1)]
+        m = [1.0] + [0.0] * half  # E S^{2k} of the empty sum
+        w = [1.0] * (half + 1)  # a^{2j} E X^{2j} of the next term
+        for x in a:
+            y = math.ldexp(float(x), -e)
+            y2 = y * y
+            power = 1.0
+            for j in range(1, half + 1):
+                power *= y2
+                w[j] = power * ex[j]
+            # descending k reads the levels of S_k before they are replaced;
+            # each product stays below the level it adds to, so an overflow
+            # means the moment itself leaves the float range
+            for k in range(half, 0, -1):
+                row = rows[k]
+                total = 0.0
+                for j in range(k + 1):
+                    total += row[j] * (w[j] * m[k - j])
+                m[k] = total
+        if not math.isfinite(m[half]):
+            raise OverflowError(f"E S^{p:g} of the scaled sum is {m[half]!r}")
+        raw = math.ldexp(m[half], e * 2 * half)
+    except OverflowError as exc:
+        raise EngineCapacityError(f"evenMoments overflows the float range: {exc}") from None
+    return MomentEstimate.from_raw(p, raw, "evenMoments", Rigor.exact())
+
+
 # --- exact Rademacher enumeration -------------------------------------------
 
 
@@ -246,23 +331,25 @@ def rademacher_sum_moment(v: CoefficientVector, p: float) -> MomentEstimate:
         base[size : 2 * size] = base[:size] - coef
         base[:size] += coef
         size *= 2
-    if len(rest) == 0:
-        total = float(np.sum(np.abs(base) ** p))
-    else:
-        # bit k of the pattern set means eps = -1 on rest[k]; this is the
-        # order of the 2^20-element chunks of the whole 2^{n-1} sweep
-        total = 0.0
-        block = np.empty_like(base)
-        for pattern in range(1 << len(rest)):
-            np.copyto(block, base)
-            for k, coef in enumerate(rest):
-                if pattern >> k & 1:
-                    block -= coef
-                else:
-                    block += coef
-            np.abs(block, out=block)
-            block **= p
-            total += float(np.sum(block))
+    # a power past the float range is inf, which the caller reports
+    with np.errstate(over="ignore"):
+        if len(rest) == 0:
+            total = float(np.sum(np.abs(base) ** p))
+        else:
+            # bit k of the pattern set means eps = -1 on rest[k]; this is the
+            # order of the 2^20-element chunks of the whole 2^{n-1} sweep
+            total = 0.0
+            block = np.empty_like(base)
+            for pattern in range(1 << len(rest)):
+                np.copyto(block, base)
+                for k, coef in enumerate(rest):
+                    if pattern >> k & 1:
+                        block -= coef
+                    else:
+                        block += coef
+                np.abs(block, out=block)
+                block **= p
+                total += float(np.sum(block))
     return MomentEstimate.from_raw(p, total / (1 << (n - 1)), "enumeration", Rigor.exact())
 
 

@@ -63,7 +63,8 @@ class VerificationReport:
     (negative = violation), CI bookkeeping and the seed that reproduces it.
 
     ``witness`` carries the instance achieving the worst margin for the
-    counterexample search; None elsewhere.
+    counterexample search, and ``witness_p`` the moment order at which it
+    achieves it; None elsewhere and for checks without an order.
     """
 
     check: str
@@ -74,6 +75,7 @@ class VerificationReport:
     inconclusive: int
     seed: int
     witness: tuple[float, ...] | None = None
+    witness_p: float | None = None
 
 
 def merge_reports(reports: Sequence[VerificationReport], check: str, seed: int) -> VerificationReport:
@@ -83,12 +85,14 @@ def merge_reports(reports: Sequence[VerificationReport], check: str, seed: int) 
     ci_resolved = sum(r.ci_resolved for r in reports)
     inconclusive = sum(r.inconclusive for r in reports)
     worst = math.inf
-    witness = None
+    witness = witness_p = None
     for r in reports:
         if r.worst_margin < worst:
             worst = r.worst_margin
-            witness = r.witness
-    return VerificationReport(check, cases, violations, worst, ci_resolved, inconclusive, seed, witness)
+            witness, witness_p = r.witness, r.witness_p
+    return VerificationReport(
+        check, cases, violations, worst, ci_resolved, inconclusive, seed, witness, witness_p
+    )
 
 
 # --- estimates with certainty intervals on the norm scale ---------------------
@@ -171,9 +175,10 @@ def reference_estimate(
 
     Walks ``prefer`` (default: summoments.LADDERS of the engine law of d)
     and moves past an engine that refuses the input.  Default ladders:
-    Rademacher enumeration -> Monte Carlo; two-sided exponential, Weibull
-    alpha = 1 included, partial fractions -> recursion -> Monte Carlo;
-    Gaussian closed form; other Weibull tails Monte Carlo only.  A ladder
+    Rademacher even moments -> enumeration -> Monte Carlo; two-sided
+    exponential, Weibull alpha = 1 included, partial fractions -> recursion
+    -> Monte Carlo; Gaussian closed form; other Weibull tails even moments
+    -> Monte Carlo.  A ladder
     that reaches Monte Carlo without a seed raises JobValidationError on
     ``seed``: there is no default seed, not even on a fallback.
     """
@@ -498,6 +503,7 @@ def search_counterexamples(config: SearchConfig) -> VerificationReport:
     state = None
     worst = math.inf
     witness: tuple[float, ...] | None = None
+    witness_p: float | None = None
     violations = 0
     for it in range(config.iterations):
         if state is None or it % 25 == 0:
@@ -511,14 +517,12 @@ def search_counterexamples(config: SearchConfig) -> VerificationReport:
             state = inst
         if margin < worst:
             worst = margin
-            if config.check == "rec2":
-                witness = tuple(float(x) for x in inst)
-            else:
-                witness = tuple(float(x) for x in inst[0].values)
+            witness = tuple(float(x) for x in (inst if config.check == "rec2" else inst[0].values))
+            witness_p = None if config.check == "cos_product" else float(inst[-1])
         if margin < -slack:
             violations += 1
     return VerificationReport(
-        config.check + "_search", config.iterations, violations, worst, 0, 0, config.seed, witness
+        config.check + "_search", config.iterations, violations, worst, 0, 0, config.seed, witness, witness_p
     )
 
 

@@ -120,11 +120,12 @@ _THIRTY_ONES = ",".join(["1"] * 30)
 
 
 class TestMissingSeedOnFallback:
-    """Past the enumeration cap the Rademacher ladder falls back to Monte
-    Carlo, which must not run without the job's seed."""
+    """Past the enumeration cap, at an order the even-moment engine refuses,
+    the Rademacher ladder falls back to Monte Carlo, which must not run
+    without the job's seed."""
 
     def test_moment_beyond_enumeration_cap(self, capsys):
-        argv = ["moment", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "4"]
+        argv = ["moment", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "3"]
         status, out, err = invoke(argv, capsys)
         assert status == cli.EXIT_USAGE
         assert err.startswith("error: seed:")
@@ -135,12 +136,20 @@ class TestMissingSeedOnFallback:
         assert rec["method"] == "monteCarlo" and rec["seed"] == 3
 
     def test_bounds_head_beyond_enumeration_cap(self, capsys):
-        # the logconc head at p = 30 is the 29 largest coefficients
-        argv = ["bounds", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "30"]
+        # the logconc head at p = 29.5 is the 29 largest coefficients
+        argv = ["bounds", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "29.5"]
         status, out, err = invoke(argv, capsys)
         assert status == cli.EXIT_USAGE
         assert err.startswith("error: seed:")
         assert out == ""
+
+    def test_even_moment_beyond_enumeration_cap_is_exact(self, capsys):
+        argv = ["moment", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "4"]
+        status, out, _ = invoke(argv, capsys)
+        assert status == cli.EXIT_OK
+        (rec,) = records_of(out)
+        assert rec["method"] == "evenMoments" and rec["rigor"] == "exact"
+        assert rec["raw_moment"] == 2640.0 and rec["seed"] is None
 
 
 class TestEngineFailureExitCodes:
@@ -177,6 +186,13 @@ class TestEngineFailureExitCodes:
         assert err.startswith("error: result out of float range")
         assert out == ""
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_warning_stays_off_stderr(self, capsys):
+        status, out, err = invoke(["moment", "--coeffs", "1,1", "--dist", "rademacher", "--p", "1e6"], capsys)
+        assert status == cli.EXIT_CAPACITY
+        assert err.startswith("error: cannot render the result") and "Warning" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_unrenderable_record_exits_capacity(self, fmt, capsys):
         # the raw moment 2^1e6 / 2 overflows to inf, which neither format carries
@@ -191,14 +207,24 @@ class TestEngineFailureExitCodes:
 class TestMomentCommand:
     def test_enumeration_record(self, capsys):
         status, out, _ = invoke(
+            ["moment", "--coeffs", "1,1,1", "--dist", "rademacher", "--p", "3"], capsys
+        )
+        assert status == cli.EXIT_OK
+        (rec,) = records_of(out)
+        assert rec["raw_moment"] == 7.5
+        assert rec["method"] == "enumeration"
+        assert rec["rigor"] == "exact"
+        assert rec["command"] == "moment" and rec["version"]
+
+    def test_even_moments_record(self, capsys):
+        status, out, _ = invoke(
             ["moment", "--coeffs", "1,1,1", "--dist", "rademacher", "--p", "4"], capsys
         )
         assert status == cli.EXIT_OK
         (rec,) = records_of(out)
         assert rec["raw_moment"] == 21.0
-        assert rec["method"] == "enumeration"
+        assert rec["method"] == "evenMoments"
         assert rec["rigor"] == "exact"
-        assert rec["command"] == "moment" and rec["version"]
 
     def test_capacity_exit_code(self, capsys):
         coeffs = ",".join(["1"] * 30)
@@ -371,6 +397,16 @@ class TestSearchCommand:
         (rec,) = records_of(out)
         assert rec["violations"] == 0
         assert isinstance(rec["witness"], list)
+
+    def test_witness_p_field(self, capsys):
+        argv = ["search", "--checks", "cos_product,p24", "--iterations", "30", "--seed", "3"]
+        status, out, _ = invoke(argv, capsys)
+        assert status == cli.EXIT_OK
+        cos, p24 = records_of(out)
+        assert cos["witness_p"] is None and p24["witness_p"] in (2.5, 3.0, 4.0)
+        status, out, _ = invoke(argv + ["--format", "csv"], capsys)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["witness_p"] for r in rows] == ["", repr(p24["witness_p"])]
 
 
 class TestOutputFormats:

@@ -15,8 +15,10 @@ from momentbounds.errors import (
 )
 from momentbounds.summoments import (
     ENUMERATION_CAP,
+    EVEN_MOMENT_CAP,
     MomentEstimate,
     Rigor,
+    even_sum_moment,
     gaussian_sum_norm,
     haagerup_moment,
     laplace_residues,
@@ -111,6 +113,97 @@ class TestEnumeration:
             tracemalloc.stop()
         # one whole-array sweep of 2^23 doubles would need 64 MB plus temporaries
         assert peak < 40 * 2**20
+
+
+class TestEvenMoments:
+    LAWS = (dists.rademacher(), dists.sym_exponential(), dists.gaussian(), dists.weibull_tail(2.0))
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 20])
+    def test_against_enumeration(self, n):
+        a = np.random.default_rng(40 + n).uniform(-2.0, 2.0, n)
+        for p in (2.0, 4.0, 6.0, 8.0):
+            got = even_sum_moment(CV(a), dists.rademacher(), p)
+            assert got.method == "evenMoments" and got.rigor.kind == "exact"
+            assert got.raw_moment == pytest.approx(rademacher_sum_moment(CV(a), p).raw_moment, rel=1e-13)
+
+    def test_against_partial_fractions(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 4, 6):
+            a = rng.uniform(0.3, 2.0, n) * np.linspace(1.0, 1.5, n)
+            for p in (2.0, 4.0, 6.0, 8.0):
+                got = even_sum_moment(CV(a), dists.sym_exponential(), p).raw_moment
+                assert got == pytest.approx(laplace_sum_moment_exact(CV(a), p).raw_moment, rel=1e-10)
+
+    def test_against_gaussian_closed_form(self):
+        a = np.random.default_rng(42).uniform(-2.0, 2.0, 9)
+        for p in (2.0, 4.0, 6.0, 8.0):
+            got = even_sum_moment(CV(a), dists.gaussian(), p).value
+            assert got == pytest.approx(gaussian_sum_norm(CV(a), p).value, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_flat_rademacher_closed_forms(self, n):
+        v = CV([1.0] * n)
+        assert even_sum_moment(v, dists.rademacher(), 4.0).raw_moment == 3 * n**2 - 2 * n
+        assert even_sum_moment(v, dists.rademacher(), 6.0).raw_moment == 15 * n**3 - 30 * n**2 + 16 * n
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_single_weibull_closed_form(self, alpha):
+        b = math.gamma(1.0 + 2.0 / alpha) ** -0.5
+        for p in (2.0, 4.0, 6.0, 8.0):
+            got = even_sum_moment(CV([-0.75]), dists.weibull_tail(alpha), p).raw_moment
+            assert got == pytest.approx(0.75**p * b**p * math.gamma(1.0 + p / alpha), rel=1e-13)
+
+    def test_two_term_expansion(self):
+        # E(aX + bY)^4 = a^4 E X^4 + 6 a^2 b^2 + b^4 E X^4 for unit variance
+        a, b = 1.3, -0.4
+        fourth = {
+            "rademacher": 1.0,
+            "symExponential": 6.0,
+            "gaussian": 3.0,
+            "weibullTail": math.gamma(3.0) / math.gamma(2.0) ** 2,
+        }
+        for d in self.LAWS:
+            ex4 = fourth[d.kind]
+            want = a**4 * ex4 + 6 * a * a * b * b + b**4 * ex4
+            assert even_sum_moment(CV([a, b]), d, 4.0).raw_moment == pytest.approx(want, rel=1e-14)
+
+    def test_permutation_sign_invariance_and_homogeneity(self):
+        rng = np.random.default_rng(43)
+        a = rng.uniform(-2.0, 2.0, 7)
+        flipped = rng.permutation(a * rng.choice([-1.0, 1.0], a.size))
+        for d in self.LAWS:
+            for p in (2.0, 4.0, 6.0):
+                base = even_sum_moment(CV(a), d, p)
+                assert even_sum_moment(CV(flipped), d, p) == base
+                # a power of two scales exactly, any other factor to rounding
+                assert even_sum_moment(CV(8.0 * a), d, p).raw_moment == 8.0**p * base.raw_moment
+                scaled = even_sum_moment(CV(1.7 * a), d, p)
+                assert scaled.raw_moment == pytest.approx(1.7**p * base.raw_moment, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [3.0, 4.5, 29.5])
+    def test_refuses_orders_that_are_not_even_integers(self, p):
+        for d in self.LAWS:
+            with pytest.raises(EngineCapacityError, match="even integer"):
+                even_sum_moment(CV([1.0, 0.5]), d, p)
+
+    def test_work_cap_names_cap(self):
+        half = 100
+        n = EVEN_MOMENT_CAP // half**2 + 1
+        with pytest.raises(EngineCapacityError, match=str(EVEN_MOMENT_CAP)):
+            even_sum_moment(CV([1.0] * n), dists.rademacher(), 2.0 * half)
+        assert even_sum_moment(CV([1.0] * (n - 1)), dists.rademacher(), 2.0).raw_moment == n - 1
+
+    @pytest.mark.parametrize(
+        "values, d, p",
+        [
+            ([1e200, 1e200], dists.rademacher(), 4.0),  # the raw moment
+            ([0.99, 0.99], dists.gaussian(), 300.0),  # a level of the scaled sum
+            ([1.0], dists.weibull_tail(1.0), 400.0),  # E X^400
+        ],
+    )
+    def test_refuses_overflow(self, values, d, p):
+        with pytest.raises(EngineCapacityError, match="overflow"):
+            even_sum_moment(CV(values), d, p)
 
 
 class TestPartialFractions:

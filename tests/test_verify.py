@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from momentbounds import dists, verify
+from momentbounds import coeffs, dists, summoments, verify
 from momentbounds.coeffs import CoefficientVector
+from momentbounds.dists import gamma_p
+from momentbounds.errors import JobValidationError
 from momentbounds.verify import (
     SearchConfig,
     _Norm,
@@ -183,6 +185,26 @@ class TestSearch:
         assert r.violations == 0
         assert r.worst_margin == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("check", ["comp2", "p24"])
+    def test_witness_replays_at_its_p(self, check):
+        r = search_counterexamples(SearchConfig(check, iterations=60, seed=17))
+        v, p = CV(r.witness), r.witness_p
+        assert p in SearchConfig(check).p_grid
+        rad = summoments.rademacher_sum_moment(v, p).value
+        if check == "p24":
+            margin = rad - reference_estimate(CV(r.witness[1:]), dists.sym_exponential(), p).value
+        else:
+            _, tail = coeffs.head_tail_split(v, p)
+            lap = reference_estimate(tail, dists.sym_exponential(), p).value
+            links = (gamma_p(p) * coeffs.norm(v, 2) - rad, rad - lap, lap - gamma_p(p) * coeffs.norm(tail, 2))
+            margin = min(links)
+        assert margin == r.worst_margin
+
+    def test_witness_p_of_the_other_checks(self):
+        assert search_counterexamples(SearchConfig("cos_product", iterations=5, seed=1)).witness_p is None
+        r = search_counterexamples(SearchConfig("rec2", iterations=5, seed=1))
+        assert r.witness_p == r.witness[2]
+
     def test_reproducible(self):
         a = search_counterexamples(SearchConfig("comp2", iterations=60, seed=13))
         b = search_counterexamples(SearchConfig("comp2", iterations=60, seed=13))
@@ -232,6 +254,8 @@ class TestReferenceEstimate:
     def test_ladders(self):
         est = reference_estimate(CV([1, 1]), dists.rademacher(), 3.0)
         assert est.method == "enumeration"
+        est = reference_estimate(CV([1, 1]), dists.rademacher(), 4.0)
+        assert est.method == "evenMoments" and est.raw_moment == 8.0
         est = reference_estimate(CV([2, 1]), dists.sym_exponential(), 3.0)
         assert est.method == "partialFractions"
         est = reference_estimate(CV([1, 1]), dists.sym_exponential(), 3.0)
@@ -240,6 +264,10 @@ class TestReferenceEstimate:
         assert est.method == "closedForm"
         est = reference_estimate(CV([1]), dists.weibull_tail(2.0), 3.0, samples=10**4, seed=1)
         assert est.method == "monteCarlo"
+        est = reference_estimate(CV([1]), dists.weibull_tail(2.0), 4.0)
+        assert est.method == "evenMoments" and est.rigor.kind == "exact"
+        with pytest.raises(JobValidationError, match="seed"):
+            reference_estimate(CV([1]), dists.weibull_tail(2.0), 3.0)
         # Weibull alpha = 1 is the two-sided exponential: its exact ladder, no seed
         for v, method in (([2, 1], "partialFractions"), ([1, 1], "recursion")):
             est = reference_estimate(CV(v), dists.weibull_tail(1.0), 3.0)
