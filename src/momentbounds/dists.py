@@ -9,7 +9,8 @@ Four families, all with log-concave tails:
                         alpha >= 1, b fixed by the unit-variance normalization.
 
 The module also owns the special-function contract (log-gamma to 1e-12
-relative on [0.5, 200]; all Gamma ratios evaluated in log space), the
+relative on [0.5, 200]; Gamma ratios evaluated in log space, except the
+even single-variable moments, rounded once from exact values), the
 Gaussian p-norm gamma_p, and the moment recursion
 E|aE+b|^p = |b|^p + p(p-1)/2 * a^2 * E|aE+b|^{p-2} for the two-sided
 exponential.  Its base case for fractional orders is adaptive quadrature
@@ -166,19 +167,42 @@ def exponential_abs_moment(p: float) -> float:
 
 
 def single_abs_moment(d: DistributionSpec, p: float) -> float:
-    """E|X|^p in closed form, p >= 0."""
+    """E|X|^p in closed form, p >= 0.
+
+    Even integer orders p = 2j are rounded once from exact values:
+    (2j)!/2^j (two-sided exponential), (2j-1)!! (Gaussian) and
+    b^{2j} Gamma(1 + 2j/alpha) by math.gamma (Weibull tail), which is
+    exact for alpha = 2.  OverflowError past the float range.
+    """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
     if d.kind == RADEMACHER:
         return 1.0
+    if p % 2 == 0:
+        return _even_abs_moment(d, int(p) // 2)
     if d.kind == SYM_EXPONENTIAL:
         return exponential_abs_moment(p)
-    if p == 0:
-        return 1.0
     if d.kind == GAUSSIAN:
         return math.exp(_gaussian_log_moment(p))
     # weibull: E|X|^p = b^p Gamma(1 + p/alpha)
     return math.exp(p * math.log(d.scale) + log_gamma(1.0 + p / d.alpha))
+
+
+# (2j)!/2^j leaves the float range at j = 92 and (2j-1)!! at j = 151
+_EVEN_FACTORIAL_MAX = 151
+
+
+def _even_abs_moment(d: DistributionSpec, j: int) -> float:
+    if d.kind == WEIBULL_TAIL:
+        value = math.gamma(1.0 + 2.0 * j / d.alpha) * d.scale ** (2 * j)
+        if not math.isfinite(value):
+            raise OverflowError(f"E X^{2 * j} of {d.kind} alpha={d.alpha!r} is beyond the float range")
+        return value
+    if j > _EVEN_FACTORIAL_MAX:
+        raise OverflowError(f"E X^{2 * j} of {d.kind} is beyond the float range")
+    if d.kind == SYM_EXPONENTIAL:
+        return float(math.factorial(2 * j) >> j)
+    return float(math.prod(range(1, 2 * j, 2)))
 
 
 def single_moment_rademacher(a: float, b: float, p: float) -> float:
@@ -236,10 +260,10 @@ def _exp_affine_moment_quadrature(a: float, b: float, p: float) -> float:
 
     kink = ab / aa
     if SQRT2 * kink > _KINK_NEGLIGIBLE:
-        return integrate_adaptive(f, 0.0, math.inf, epsrel=1e-10)
-    return integrate_adaptive(f, 0.0, kink, epsrel=1e-10) + integrate_adaptive(
+        return integrate_adaptive(f, 0.0, math.inf, epsrel=1e-10)[0]
+    return integrate_adaptive(f, 0.0, kink, epsrel=1e-10)[0] + integrate_adaptive(
         f, kink, math.inf, epsrel=1e-10
-    )
+    )[0]
 
 
 # --- sampling ---------------------------------------------------------------

@@ -26,9 +26,10 @@ def integrate_adaptive(
     epsrel: float = 1e-10,
     epsabs: float = 0.0,
     limit: int = DEFAULT_SUBDIVISION_CAP,
-) -> float:
+) -> tuple[float, float]:
     """Integrate f over [a, b] to the requested relative tolerance; b may
-    be +inf.  Raises QuadratureError when QUADPACK signals non-convergence
+    be +inf.  Returns the value and QUADPACK's estimate of its absolute
+    error.  Raises QuadratureError when QUADPACK signals non-convergence
     or the subdivision cap overflows.
     """
     result = integrate.quad(f, a, b, epsrel=epsrel, epsabs=epsabs, limit=limit, full_output=1)
@@ -39,4 +40,4 @@ def integrate_adaptive(
             f"adaptive quadrature on [{a!r}, {b!r}] did not converge "
             f"(cap {limit} subintervals): {message.splitlines()[0]}"
         )
-    return float(result[0])
+    return float(result[0]), float(result[1])

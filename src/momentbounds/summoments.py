@@ -1,6 +1,6 @@
 """Moment engines for S = sum_i a_i X_i.
 
-Six independent routes to E|S|^p / ||S||_p:
+Seven independent routes to E|S|^p / ||S||_p:
 
 * ``evenMoments``      — exact positive-term dynamic program over prefix sums
                          for even integer p, in O(n p^2) (every law),
@@ -15,6 +15,12 @@ Six independent routes to E|S|^p / ||S||_p:
 * ``haagerup``         — the characteristic-function representation
                          E|S|^p = C_p int (phi - 1 + t^2 E S^2 / 2) t^{-p-1} dt
                          with C_p = -(2/pi) sin(p pi/2) Gamma(p+1), 2 < p < 4,
+* ``charFunction``     — the same integral for every p > 0 that is not an
+                         even integer, with phi_S minus its Taylor polynomial
+                         of degree 2 floor(p/2), whose coefficients come from
+                         the even-moment dynamic program (two-sided
+                         exponential and Weibull alpha = 2, whose phi_S are
+                         closed forms),
 * ``monteCarlo``       — seeded sample mean with a 3-sigma confidence interval.
 
 Plus the 2-stable closed form gamma_p ||a||_2 for Gaussian sums.
@@ -28,9 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import coeffs, dists
 from .coeffs import CoefficientVector
@@ -46,6 +54,7 @@ from .quadrature import integrate_adaptive
 
 __all__ = [
     "EVEN_MOMENT_CAP",
+    "CHAR_FUNCTION_TOLERANCE",
     "ENUMERATION_CAP",
     "PARTIAL_FRACTION_GAP",
     "RESIDUE_MAGNITUDE_CAP",
@@ -61,6 +70,7 @@ __all__ = [
     "laplace_sum_moment_exact",
     "laplace_sum_moment_recursion",
     "haagerup_moment",
+    "char_function_moment",
     "monte_carlo_sum_moment",
     "monte_carlo_sum_moments",
     "gaussian_sum_norm",
@@ -109,6 +119,13 @@ ENGINES = {
     ),
     "recursion": Engine("laplace_sum_moment_recursion", _EXPONENTIAL, True),
     "haagerup": Engine("haagerup_moment", _SIGNS | _EXPONENTIAL, False, args=("v", "law", "p")),
+    "charFunction": Engine(
+        "char_function_moment",
+        _EXPONENTIAL | {dists.WEIBULL_TAIL},
+        False,
+        (EngineCapacityError, QuadratureError),
+        args=("v", "d", "p"),
+    ),
     "monteCarlo": Engine(
         "monte_carlo_sum_moment", frozenset(dists.KINDS), False, args=("v", "d", "p", "samples", "seed")
     ),
@@ -120,7 +137,7 @@ LADDERS = {
     dists.RADEMACHER: ("evenMoments", "enumeration", "monteCarlo"),
     dists.SYM_EXPONENTIAL: ("partialFractions", "recursion", "monteCarlo"),
     dists.GAUSSIAN: ("closedForm",),
-    dists.WEIBULL_TAIL: ("evenMoments", "monteCarlo"),
+    dists.WEIBULL_TAIL: ("evenMoments", "charFunction", "monteCarlo"),
 }
 
 
@@ -231,18 +248,55 @@ def _even_binomials(half: int) -> list[list[float]]:
     return rows
 
 
-def even_sum_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
-    """Exact E S^p for even integer p, any law, by a dynamic program over
-    the prefix sums S_k = a_1 X_1 + ... + a_k X_k:
+def _even_levels(a: np.ndarray, d: DistributionSpec, half: int) -> tuple[int, list[float]]:
+    """The exponent e of the power of two with max |a_i| < 2^e <= 2 max |a_i|,
+    and the levels E S^{2k}, k = 0..half, of the scaled sum
+    S = sum (a_i / 2^e) X_i, by a dynamic program over its prefix sums S_k:
 
         E S_{k+1}^{2m} = sum_{j=0}^{m} C(2m, 2j) a_{k+1}^{2j} E X^{2j} E S_k^{2m-2j},
 
     with E X^{2j} from dists.single_abs_moment.  The odd moments of a
-    symmetric law vanish, so every term is nonnegative and nothing cancels.
-    The coefficients are divided by the power of two 2^e with
-    max |a_i| < 2^e <= 2 max |a_i|, which is exact, and the raw moment is
-    multiplied back by 2^{e p}; integer inputs therefore give exact integer
-    moments.  Work is n (p/2)^2.
+    symmetric law vanish, so every term is nonnegative and nothing cancels;
+    dividing by 2^e is exact.  a is canonical (see _canonical).  Work is
+    n half^2: EngineCapacityError above EVEN_MOMENT_CAP, OverflowError when
+    a level or a moment of one variable leaves the float range.
+    """
+    n = len(a)
+    if n * half * half > EVEN_MOMENT_CAP:
+        raise EngineCapacityError(
+            f"the even-moment recursion handles work n k^2 <= {EVEN_MOMENT_CAP} "
+            f"for k = {half} levels, got {n * half * half}"
+        )
+    e = math.frexp(float(a[0]))[1] if n else 0
+    rows = _even_binomials(half)
+    ex = [dists.single_abs_moment(d, 2.0 * j) for j in range(half + 1)]
+    m = [1.0] + [0.0] * half  # E S^{2k} of the empty sum
+    w = [1.0] * (half + 1)  # a^{2j} E X^{2j} of the next term
+    for x in a:
+        y = math.ldexp(float(x), -e)
+        y2 = y * y
+        power = 1.0
+        for j in range(1, half + 1):
+            power *= y2
+            w[j] = power * ex[j]
+        # descending k reads the levels of S_k before they are replaced;
+        # each product stays below the level it adds to, so an overflow
+        # means the moment itself leaves the float range
+        for k in range(half, 0, -1):
+            row = rows[k]
+            total = 0.0
+            for j in range(k + 1):
+                total += row[j] * (w[j] * m[k - j])
+            m[k] = total
+    if not math.isfinite(m[half]):
+        raise OverflowError(f"E S^{2 * half} of the scaled sum is {m[half]!r}")
+    return e, m
+
+
+def even_sum_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
+    """Exact E S^p for even integer p, any law: the top level of
+    _even_levels, multiplied back by 2^{e p}.  Integer inputs therefore give
+    exact integer moments.  Work is n (p/2)^2.
 
     Refuses (EngineCapacityError) a p that is not an even integer, work
     above EVEN_MOMENT_CAP, and a moment of the sum or of one variable
@@ -252,37 +306,9 @@ def even_sum_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> Mome
         raise ValueError(f"p must be >= 0, got {p!r}")
     if p % 2 != 0:
         raise EngineCapacityError(f"evenMoments handles even integer p, got p={p!r}")
-    a = _canonical(v)
-    n = len(a)
     half = int(p) // 2
-    if n * half * half > EVEN_MOMENT_CAP:
-        raise EngineCapacityError(
-            f"evenMoments handles work n (p/2)^2 <= {EVEN_MOMENT_CAP}, got {n * half * half}"
-        )
-    e = math.frexp(float(a[0]))[1] if n else 0
     try:
-        rows = _even_binomials(half)
-        ex = [dists.single_abs_moment(d, 2.0 * j) for j in range(half + 1)]
-        m = [1.0] + [0.0] * half  # E S^{2k} of the empty sum
-        w = [1.0] * (half + 1)  # a^{2j} E X^{2j} of the next term
-        for x in a:
-            y = math.ldexp(float(x), -e)
-            y2 = y * y
-            power = 1.0
-            for j in range(1, half + 1):
-                power *= y2
-                w[j] = power * ex[j]
-            # descending k reads the levels of S_k before they are replaced;
-            # each product stays below the level it adds to, so an overflow
-            # means the moment itself leaves the float range
-            for k in range(half, 0, -1):
-                row = rows[k]
-                total = 0.0
-                for j in range(k + 1):
-                    total += row[j] * (w[j] * m[k - j])
-                m[k] = total
-        if not math.isfinite(m[half]):
-            raise OverflowError(f"E S^{p:g} of the scaled sum is {m[half]!r}")
+        e, m = _even_levels(_canonical(v), d, half)
         raw = math.ldexp(m[half], e * 2 * half)
     except OverflowError as exc:
         raise EngineCapacityError(f"evenMoments overflows the float range: {exc}") from None
@@ -478,10 +504,10 @@ def _laplace_fractional_moment(a_desc: np.ndarray, q: float) -> float:
     def integrand(t: float) -> float:
         return one_minus_phi(t) * t ** (-q - 1.0)
 
-    acc = integrate_adaptive(integrand, 0.0, 1.0, epsrel=1e-12)
+    acc = integrate_adaptive(integrand, 0.0, 1.0, epsrel=1e-12)[0]
     t_hi = 1.0
     while True:
-        acc += integrate_adaptive(integrand, t_hi, 2.0 * t_hi, epsrel=1e-12)
+        acc += integrate_adaptive(integrand, t_hi, 2.0 * t_hi, epsrel=1e-12)[0]
         t_hi *= 2.0
         closed_tail = t_hi ** (-q) / q
         phi_tail = (1.0 - one_minus_phi(t_hi)) * closed_tail
@@ -615,8 +641,8 @@ def haagerup_moment(v: CoefficientVector, kind: str, p: float) -> MomentEstimate
     # analytic expansion below t0, compensated full integrand up to t = 2
     t0 = 1e-4
     acc = k4 * t0 ** (4.0 - p) / (4.0 - p) + k6 * t0 ** (6.0 - p) / (6.0 - p)
-    acc += integrate_adaptive(integrand, t0, 1.0, epsrel=1e-9)
-    acc += integrate_adaptive(integrand, 1.0, 2.0, epsrel=1e-9)
+    acc += integrate_adaptive(integrand, t0, 1.0, epsrel=1e-9)[0]
+    acc += integrate_adaptive(integrand, 1.0, 2.0, epsrel=1e-9)[0]
     # beyond t = 2 the polynomial part of each doubling block goes in closed
     # form and only the (small, possibly oscillatory) phi part is quadrated;
     # blocks stop once the phi-tail bound is negligible and the remaining
@@ -635,17 +661,178 @@ def haagerup_moment(v: CoefficientVector, kind: str, p: float) -> MomentEstimate
         cap = max(200, int(t_hi) + 100) if rad else 200
         block = functools.partial(integrate_adaptive, phi_integrand, t_hi, 2.0 * t_hi, epsrel=1e-8, limit=cap)
         try:
-            piece = block(epsabs=1e-8 * abs(acc))
+            piece = block(epsabs=1e-8 * abs(acc))[0]
         except QuadratureError:
             # QAGS's extrapolation gives up on the oscillating Rademacher
             # tail at some tolerances and not at others; a tighter request
             # subdivides further
-            piece = block(epsabs=1e-10 * abs(acc))
+            piece = block(epsabs=1e-10 * abs(acc))[0]
         acc += poly_piece(t_hi, 2.0 * t_hi) + piece
         t_hi *= 2.0
     c_p = -(2.0 / math.pi) * math.sin(0.5 * p * math.pi) * math.exp(log_gamma(p + 1.0))
     raw = amax**p * c_p * total
     return MomentEstimate.from_raw(p, raw, "haagerup", Rigor.tolerance(1e-6))
+
+
+# --- characteristic-function integral, p not an even integer -----------------
+
+# the largest relative error charFunction may report; it refuses past it
+CHAR_FUNCTION_TOLERANCE = 1e-10
+# Taylor terms of phi_S beyond the subtracted ones, integrated below t0
+_SERIES_TERMS = 13
+# the phi-tail bound at which the doubling blocks stop, relative to the integral
+_NEGLIGIBLE = 1e-15
+_LAST_BLOCK = 2.0**60
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _char_functions(law: str, b: float, y: np.ndarray):
+    """For S = sum y_i X_i: phi_S(t), a bound on sup_{s >= t} |phi_S(s)|,
+    E cosh(t S), and the largest t at which the series bound may take
+    E cosh(t S).
+
+    The two-sided exponential has phi_X(u) = 1/(1 + u^2/2), which decreases,
+    and E cosh(u X) = 1/(1 - u^2/2) <= 2 for u <= 1.  Weibull alpha = 2 with
+    scale b has phi_X(u) = 1 - 2x D(x), x = b u/2, with Dawson's function D;
+    |1 - 2x D(x)| <= min(1, 1/x^2), and E cosh(u X) = 1 + sqrt(pi) x e^{x^2}
+    erf(x) is entire."""
+    if law == dists.SYM_EXPONENTIAL:
+        h = 0.5 * y * y
+
+        def phi(t: float) -> float:
+            return math.exp(-float(np.sum(np.log1p(h * (t * t)))))
+
+        def mgf(t: float) -> float:
+            return math.exp(-float(np.sum(np.log1p(-h * (t * t)))))
+
+        return phi, phi, mgf, 1.0 / float(y[0])
+    c = 0.5 * b * y
+
+    def phi(t: float) -> float:
+        x = c * t
+        return float(np.prod(1.0 - 2.0 * x * special.dawsn(x)))
+
+    def envelope(t: float) -> float:
+        return math.exp(-2.0 * float(np.sum(np.log(np.maximum(c * t, 1.0)))))
+
+    def mgf(t: float) -> float:
+        x = c * t
+        return float(np.prod(1.0 + math.sqrt(math.pi) * x * np.exp(x * x) * special.erf(x)))
+
+    return phi, envelope, mgf, math.inf
+
+
+def _power_integral(k: int, p: float, lo: float, hi: float) -> float:
+    # int_lo^hi t^{k-p-1} dt for an integer k != p
+    return (hi ** (k - p) - lo ** (k - p)) / (k - p)
+
+
+def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
+    """E|S|^p for p > 0 not an even integer, by the Taylor-subtracted
+    characteristic-function formula (von Bahr at m = 0, Haagerup at m = 1):
+
+        E|S|^p = C_p int_0^inf (phi_S(t) - P_m(t)) t^{-p-1} dt,
+        P_m(t) = sum_{j<=m} (-1)^j E S^{2j} t^{2j}/(2j)!,   2m < p < 2m+2,
+
+    with C_p = -(2/pi) Gamma(p+1) sin(p pi/2), for the two-sided exponential
+    and Weibull alpha = 2, whose phi_S are closed forms.  The moments
+    E S^{2j} come from _even_levels, which scales the coefficients by a power
+    of two to max |a_i| in [1/2, 1); the raw moment is scaled back.
+
+    Numerics, with sigma = ||S||_2 of the scaled sum, t1 = 4/sigma (at most
+    1/max|a_i| for the exponential, whose phi_S has poles) and t0 = t1/4:
+
+    * below t0 the integrand is the Taylor series of phi_S - P_m, integrated
+      term by term for j = m+1 .. m+13.  Every Taylor coefficient is at most
+      E cosh(t1 S) / t1^{2j}, which bounds the omitted terms;
+    * on [t0, 2 t1] QUADPACK integrates (phi_S - P_m) t^{-p-1};
+    * past 2 t1 the polynomial P_m goes in closed form, and QUADPACK
+      integrates phi_S t^{-p-1} on doubling blocks [T, 2T] until the bound
+      sup_{t>=T} |phi_S(t)| T^{-p}/p on the rest is below 1e-15 of the
+      integral.
+
+    Rigor: tolerance(eps), where eps is the sum of QUADPACK's error
+    estimates, the series truncation bound, the phi-tail bound and a bound
+    on the rounding of phi_S - P_m and of the closed-form pieces, over the
+    integral, plus 16 ulps for the final products.  Refuses
+    (EngineCapacityError) an even integer p, a law without a closed-form
+    phi_S, eps above CHAR_FUNCTION_TOLERANCE (at large p the pieces cancel),
+    work of _even_levels above EVEN_MOMENT_CAP, and a moment out of the
+    normal float range; QuadratureError when a quadrature does not converge.
+    """
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p!r}")
+    if p % 2 == 0:
+        raise EngineCapacityError(f"charFunction handles p that is not an even integer, got p={p!r}")
+    law = engine_law(d)
+    if law != dists.SYM_EXPONENTIAL and not (law == dists.WEIBULL_TAIL and d.alpha == 2.0):
+        raise EngineCapacityError(
+            "charFunction has a closed-form characteristic function for symExponential "
+            f"and weibullTail alpha = 2 only, got {d.kind} alpha={d.alpha!r}"
+        )
+    a = _canonical(v)
+    n = len(a)
+    if n == 0:
+        return MomentEstimate.from_raw(p, 0.0, "charFunction", Rigor.tolerance(_UNIT_ROUNDOFF))
+    m = int(p) // 2
+    top = m + _SERIES_TERMS
+    try:
+        e, mom = _even_levels(a, d, top)
+        phi, envelope, mgf, radius = _char_functions(law, d.scale, np.ldexp(a, -e))
+        coef = [(-1) ** j * mom[j] / math.factorial(2 * j) for j in range(top + 1)]
+        t1 = min(4.0 / math.sqrt(mom[1]), radius)
+        t0 = 0.25 * t1
+        cut = 2.0 * t1
+        series = [coef[j] * t0 ** (2 * j - p) / (2 * j - p) for j in range(m + 1, top + 1)]
+        truncation = mgf(t1) * 0.25 ** (2 * top + 2) / (1.0 - 1.0 / 16.0) * t0**-p / (2 * top + 2 - p)
+        closed_tail = [coef[j] * cut ** (2 * j - p) / (p - 2 * j) for j in range(m + 1)]
+
+        def remainder(t: float) -> float:
+            s = t * t
+            poly = coef[m]
+            for j in range(m - 1, -1, -1):
+                poly = poly * s + coef[j]
+            return (phi(t) - poly) * t ** (-p - 1.0)
+
+        body, abserr = integrate_adaptive(remainder, t0, cut, epsrel=1e-12)
+        # phi_S and P_m come to within about n + m ulps of their size
+        rounding = _UNIT_ROUNDOFF * (
+            (n + m + 2) * sum(abs(coef[j]) * _power_integral(2 * j, p, t0, cut) for j in range(m + 1))
+            + (n + 2) * _power_integral(0, p, t0, cut)
+            + top * (sum(map(abs, series)) + sum(map(abs, closed_tail)))
+        )
+        total = sum(series) + body - sum(closed_tail)
+
+        def phi_part(t: float) -> float:
+            return phi(t) * t ** (-p - 1.0)
+
+        t_hi = cut
+        while (phi_tail := envelope(t_hi) * t_hi**-p / p) > _NEGLIGIBLE * abs(total):
+            if t_hi >= _LAST_BLOCK:
+                raise QuadratureError("charFunction's phi-tail did not close below 2^60")
+            piece, err = integrate_adaptive(
+                phi_part, t_hi, 2.0 * t_hi, epsrel=1e-12, epsabs=_NEGLIGIBLE * abs(total)
+            )
+            total += piece
+            abserr += err
+            t_hi *= 2.0
+        # sin(p pi/2) = (-1)^k sin(r pi/2) for p = 2k + r: the exact remainder r
+        # keeps its relative accuracy near even p, where the sine vanishes
+        r = math.remainder(p, 2.0)
+        sine = math.sin(0.5 * math.pi * r) * (-1.0 if round((p - r) / 2.0) % 2 else 1.0)
+        c_p = -(2.0 / math.pi) * sine * math.gamma(p + 1.0)
+        eps = (abserr + truncation + rounding + phi_tail) / abs(total) + 16 * _UNIT_ROUNDOFF
+        raw = c_p * total * 2.0 ** (e * p)
+    except OverflowError as exc:
+        raise EngineCapacityError(f"charFunction overflows the float range: {exc}") from None
+    if not eps <= CHAR_FUNCTION_TOLERANCE:
+        raise EngineCapacityError(
+            f"charFunction's error bound {eps:.3g} exceeds {CHAR_FUNCTION_TOLERANCE:g} at p={p!r}: "
+            "the Taylor subtraction cancels"
+        )
+    if not sys.float_info.min <= raw < math.inf:
+        raise EngineCapacityError(f"charFunction's moment {raw!r} is not a positive normal float")
+    return MomentEstimate.from_raw(p, raw, "charFunction", Rigor.tolerance(eps))
 
 
 # --- Monte Carlo ---------------------------------------------------------------

@@ -178,7 +178,7 @@ def reference_estimate(
     Rademacher even moments -> enumeration -> Monte Carlo; two-sided
     exponential, Weibull alpha = 1 included, partial fractions -> recursion
     -> Monte Carlo; Gaussian closed form; other Weibull tails even moments
-    -> Monte Carlo.  A ladder
+    -> characteristic function (alpha = 2 only) -> Monte Carlo.  A ladder
     that reaches Monte Carlo without a seed raises JobValidationError on
     ``seed``: there is no default seed, not even on a fallback.
     """
@@ -315,8 +315,10 @@ def check_extremality(
 ) -> VerificationReport:
     """||sum a_i eps_i||_p <= ||sum a_i X_i||_p <= ||sum a_i E_i||_p for
     X Weibull-tailed with shape alpha, p >= 3; every term from its strongest
-    engine, so the middle one is Monte Carlo except at alpha = 1, where X is
-    the two-sided exponential and the upper link an exact equality."""
+    engine, so the middle one is Monte Carlo at p that is not an even
+    integer, except at alpha = 2 (the characteristic-function engine) and at
+    alpha = 1, where X is the two-sided exponential and the upper link an
+    exact equality."""
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p!r}")
     w = dists.weibull_tail(alpha)
@@ -587,7 +589,7 @@ def suite(
             for d in kinds:
                 vectors = _suite_vectors(rng, (2, 5, 8))
                 if d.kind == dists.WEIBULL_TAIL:
-                    vectors.append(CoefficientVector([1.0 / 8.0] * 64))  # MC-only size
+                    vectors.append(CoefficientVector([1.0 / 8.0] * 64))  # many equal terms, near the Gaussian limit
                 for v in vectors:
                     grid = [x for x in ps if x >= (3 if d.kind == dists.WEIBULL_TAIL else 2)][:4]
                     for p in grid:

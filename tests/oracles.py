@@ -76,6 +76,30 @@ def two_term_laplace_moment(p: float) -> float:
     return val
 
 
+def weibull2_pair_moment(a: float, c: float, p: float, scale: float = 1.0) -> float:
+    """E|a X + c Y|^p for independent Weibull-tail X, Y with alpha = 2 and the
+    given scale b, by nested quadrature against the density 2x/b^2 exp(-x^2/b^2)
+    of |X|.  By symmetry the inner mean over Y is even in x; it is split at its
+    kink y = |a| x/|c|.  Beyond 12 b the density is below exp(-140)."""
+    a, c, b = abs(a), abs(c), scale
+    hi = 12.0 * b
+
+    def density(x):
+        return 2.0 * x / (b * b) * math.exp(-((x / b) ** 2))
+
+    def inner(x):
+        def f(y):
+            return density(y) * 0.5 * (abs(a * x + c * y) ** p + abs(a * x - c * y) ** p)
+
+        kink = min(a * x / c, hi)
+        left, _ = integrate.quad(f, 0.0, kink, epsabs=0.0, epsrel=1e-13, limit=200)
+        right, _ = integrate.quad(f, kink, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+        return left + right
+
+    val, _ = integrate.quad(lambda x: density(x) * inner(x), 0.0, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
 def weibull_variance_quad(alpha: float, scale: float) -> float:
     """E X^2 = int 2 t P(|X| >= t) dt for the Weibull-tail law."""
     val, _ = integrate.quad(

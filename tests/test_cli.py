@@ -35,7 +35,7 @@ class TestValidation:
 
     def test_missing_seed_for_stochastic(self, capsys):
         status, out, err = invoke(
-            ["moment", "--coeffs", "1,2", "--dist", "weibullTail", "--alpha", "2", "--p", "3"],
+            ["moment", "--coeffs", "1,2", "--dist", "weibullTail", "--alpha", "3", "--p", "3"],
             capsys,
         )
         assert status == cli.EXIT_USAGE
@@ -225,6 +225,24 @@ class TestMomentCommand:
         assert rec["raw_moment"] == 21.0
         assert rec["method"] == "evenMoments"
         assert rec["rigor"] == "exact"
+
+    def test_char_function_record_needs_no_seed(self, capsys):
+        status, out, _ = invoke(
+            ["moment", "--coeffs", "1,2", "--dist", "weibullTail", "--alpha", "2", "--p", "3"], capsys
+        )
+        assert status == cli.EXIT_OK
+        (rec,) = records_of(out)
+        assert rec["method"] == "charFunction" and rec["rigor"] == "tolerance"
+        assert 0 < rec["epsilon"] <= summoments.CHAR_FUNCTION_TOLERANCE
+        assert rec["seed"] is None
+
+    def test_even_gaussian_moment_is_exact(self, capsys):
+        status, out, _ = invoke(
+            ["moment", "--coeffs", "2", "--dist", "gaussian", "--p", "2", "--engine", "evenMoments"], capsys
+        )
+        assert status == cli.EXIT_OK
+        (rec,) = records_of(out)
+        assert rec["raw_moment"] == 4.0 and rec["rigor"] == "exact"
 
     def test_capacity_exit_code(self, capsys):
         coeffs = ",".join(["1"] * 30)

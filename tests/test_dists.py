@@ -181,6 +181,19 @@ class TestSingleMomentExponential:
         assert lhs == pytest.approx(1 + 3.0, abs=1e-12)  # equality at (1,1,3)
 
 
+def test_even_single_moments_are_exact():
+    for j in range(1, 12):
+        assert single_abs_moment(dists.gaussian(), 2.0 * j) == math.prod(range(1, 2 * j, 2))
+        assert single_abs_moment(dists.sym_exponential(), 2.0 * j) == math.factorial(2 * j) // 2**j
+        assert single_abs_moment(dists.weibull_tail(2.0), 2.0 * j) == math.factorial(j)
+    assert single_abs_moment(dists.weibull_tail(3.0), 4.0) == pytest.approx(
+        dists.weibull_tail(3.0).scale ** 4 * math.gamma(1.0 + 4.0 / 3.0), rel=1e-15
+    )
+    for d in (dists.gaussian(), dists.sym_exponential(), dists.weibull_tail(1.0)):
+        with pytest.raises(OverflowError):
+            single_abs_moment(d, 400.0)
+
+
 def test_weibull_closed_moment_vs_quadrature():
     from scipy import integrate
 

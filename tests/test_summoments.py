@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 
 import oracles
 from momentbounds import dists
@@ -14,10 +15,12 @@ from momentbounds.errors import (
     ResidueCancellationError,
 )
 from momentbounds.summoments import (
+    CHAR_FUNCTION_TOLERANCE,
     ENUMERATION_CAP,
     EVEN_MOMENT_CAP,
     MomentEstimate,
     Rigor,
+    char_function_moment,
     even_sum_moment,
     gaussian_sum_norm,
     haagerup_moment,
@@ -334,6 +337,101 @@ class TestHaagerup:
                 haagerup_moment(CV([1]), dists.SYM_EXPONENTIAL, p)
 
 
+class TestCharFunction:
+    W2 = dists.weibull_tail(2.0)
+
+    def check(self, est, want, slack=1e-15):
+        # the label must hold: |error| <= eps of the reference, plus the
+        # reference's own rounding
+        assert est.method == "charFunction" and est.rigor.kind == "tolerance"
+        assert est.rigor.epsilon <= CHAR_FUNCTION_TOLERANCE
+        assert abs(est.raw_moment - want) <= (est.rigor.epsilon + slack) * want
+
+    @pytest.mark.parametrize("p", [0.5, 1.5, 3.0, 3.5, 5.0, 5.5, 7.0])
+    def test_single_weibull_closed_form(self, p):
+        b = self.W2.scale
+        est = char_function_moment(CV([-0.75]), self.W2, p)
+        self.check(est, 0.75**p * b**p * math.gamma(1.0 + p / 2.0))
+
+    @pytest.mark.parametrize("pair", [(1.0, 1.0), (1.3, -0.4), (0.7, 2.0)])
+    def test_weibull_pairs_against_nested_quadrature(self, pair):
+        for p in (0.5, 3.0, 3.5, 5.0, 5.5):
+            want = oracles.weibull2_pair_moment(*pair, p, self.W2.scale)
+            self.check(char_function_moment(CV(list(pair)), self.W2, p), want, slack=1e-13)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 3.5, 5.5, 7.3])
+    def test_exponential_against_partial_fractions(self, p):
+        rng = np.random.default_rng(44)
+        for n in (1, 2, 3, 5):
+            v = CV(rng.uniform(0.3, 2.0, n) * np.linspace(1.0, 1.5, n))
+            want = laplace_sum_moment_exact(v, p).raw_moment
+            self.check(char_function_moment(v, dists.sym_exponential(), p), want, slack=1e-13)
+            # Weibull alpha = 1 is the same law
+            self.check(char_function_moment(v, dists.weibull_tail(1.0), p), want, slack=1e-13)
+
+    def test_continuous_with_even_moments_at_four(self):
+        for v in (CV([1.0]), CV([1.0, 2.0]), CV([0.3, 1.0, 2.0, 0.5, 0.1])):
+            exact = even_sum_moment(v, self.W2, 4.0).raw_moment
+            below, above = (char_function_moment(v, self.W2, 4.0 + h).raw_moment for h in (-1e-6, 1e-6))
+            # first order in the step on each side, second order in the mean
+            assert abs(below - exact) <= 1e-5 * exact and abs(above - exact) <= 1e-5 * exact
+            assert abs(0.5 * (below + above) - exact) <= 1e-11 * exact
+
+    @pytest.mark.parametrize("v", [CV(np.random.default_rng(45).uniform(-1.0, 1.0, 5)), CV([1.0 / 8.0] * 64)])
+    def test_weibull_sums_against_monte_carlo(self, v):
+        ps = [3.0, 3.5, 5.0]
+        for p, mc in zip(ps, monte_carlo_sum_moments(v, self.W2, ps, 200_000, 46)):
+            est = char_function_moment(v, self.W2, p)
+            assert est.rigor.epsilon <= CHAR_FUNCTION_TOLERANCE
+            assert abs(est.raw_moment - mc.raw_moment) <= mc.rigor.halfwidth
+
+    def test_permutation_sign_invariance_and_homogeneity(self):
+        rng = np.random.default_rng(47)
+        a = rng.uniform(-2.0, 2.0, 6)
+        flipped = rng.permutation(a * rng.choice([-1.0, 1.0], a.size))
+        for p in (1.5, 3.0, 5.5):
+            base = char_function_moment(CV(a), self.W2, p)
+            assert char_function_moment(CV(flipped), self.W2, p) == base
+            # a power of two leaves the scaled problem, so the label, as it is
+            scaled = char_function_moment(CV(8.0 * a), self.W2, p)
+            assert scaled.rigor == base.rigor
+            assert scaled.raw_moment == pytest.approx(8.0**p * base.raw_moment, rel=1e-15)
+            scaled = char_function_moment(CV(1.7 * a), self.W2, p)
+            assert scaled.raw_moment == pytest.approx(1.7**p * base.raw_moment, rel=1e-13)
+
+    def test_weibull_bounds_it_relies_on(self):
+        # |phi_X(u)| <= min(1, 1/x^2) at x = b u/2, the phi-tail envelope
+        x = np.linspace(1e-3, 200.0, 400_001)
+        assert np.all(np.abs(1.0 - 2.0 * x * special.dawsn(x)) * np.maximum(x * x, 1.0) <= 1.0)
+        # E cosh(u X) = 1 + sqrt(pi) x e^{x^2} erf(x), the series bound, by quadrature
+        for u in (0.5, 2.0, 4.0):
+            want, _ = integrate.quad(lambda r: math.cosh(u * r) * 2.0 * r * math.exp(-r * r), 0.0, 40.0)
+            x = 0.5 * u
+            assert 1.0 + math.sqrt(math.pi) * x * math.exp(x * x) * math.erf(x) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 2.0, 4.0, 6.0])
+    def test_refuses_even_orders(self, p):
+        with pytest.raises(EngineCapacityError, match="even integer"):
+            char_function_moment(CV([1.0, 0.5]), self.W2, p)
+
+    @pytest.mark.parametrize("d", [dists.weibull_tail(1.5), dists.weibull_tail(3.0), dists.rademacher()])
+    def test_refuses_laws_without_closed_form(self, d):
+        with pytest.raises(EngineCapacityError, match="closed-form"):
+            char_function_moment(CV([1.0, 0.5]), d, 3.0)
+
+    def test_refuses_a_bound_past_the_label(self):
+        with pytest.raises(EngineCapacityError, match="error bound"):
+            char_function_moment(CV([1.0]), self.W2, 13.5)
+
+    def test_refuses_work_and_range(self):
+        with pytest.raises(EngineCapacityError, match=str(EVEN_MOMENT_CAP)):
+            char_function_moment(CV([1.0] * 2000), self.W2, 3.0)
+        with pytest.raises(EngineCapacityError, match="overflow"):
+            char_function_moment(CV([1e200, 1e200]), self.W2, 3.0)
+        with pytest.raises(EngineCapacityError, match="positive normal float"):
+            char_function_moment(CV([1e-200, 3e-200]), self.W2, 3.5)
+
+
 class TestMonteCarlo:
     def test_spot_values_within_ci(self):
         est = monte_carlo_sum_moment(CV([1, 1]), dists.sym_exponential(), 4, 10**6, 5)
@@ -380,6 +478,7 @@ ENGINES = {
     "partialFractions": lambda v, p: laplace_sum_moment_exact(v, p),
     "recursion": lambda v, p: laplace_sum_moment_recursion(v, p),
     "haagerup": lambda v, p: haagerup_moment(v, dists.SYM_EXPONENTIAL, p),
+    "charFunction": lambda v, p: char_function_moment(v, dists.sym_exponential(), p),
     "monteCarlo": lambda v, p: monte_carlo_sum_moment(v, dists.sym_exponential(), p, 10**5, 17),
 }
 

@@ -8,7 +8,7 @@ import pytest
 from momentbounds import coeffs, dists, summoments, verify
 from momentbounds.coeffs import CoefficientVector
 from momentbounds.dists import gamma_p
-from momentbounds.errors import JobValidationError
+from momentbounds.errors import JobValidationError, QuadratureError
 from momentbounds.verify import (
     SearchConfig,
     _Norm,
@@ -262,17 +262,29 @@ class TestReferenceEstimate:
         assert est.method == "recursion"  # equal coefficients: PF refuses
         est = reference_estimate(CV([1]), dists.gaussian(), 3.0)
         assert est.method == "closedForm"
-        est = reference_estimate(CV([1]), dists.weibull_tail(2.0), 3.0, samples=10**4, seed=1)
+        est = reference_estimate(CV([1]), dists.weibull_tail(2.0), 3.0)
+        assert est.method == "charFunction" and est.rigor.kind == "tolerance"
+        est = reference_estimate(CV([1]), dists.weibull_tail(1.5), 3.0, samples=10**4, seed=1)
         assert est.method == "monteCarlo"
         est = reference_estimate(CV([1]), dists.weibull_tail(2.0), 4.0)
         assert est.method == "evenMoments" and est.rigor.kind == "exact"
         with pytest.raises(JobValidationError, match="seed"):
-            reference_estimate(CV([1]), dists.weibull_tail(2.0), 3.0)
+            reference_estimate(CV([1]), dists.weibull_tail(1.5), 3.0)
         # Weibull alpha = 1 is the two-sided exponential: its exact ladder, no seed
         for v, method in (([2, 1], "partialFractions"), ([1, 1], "recursion")):
             est = reference_estimate(CV(v), dists.weibull_tail(1.0), 3.0)
             assert est.method == method
             assert est == reference_estimate(CV(v), dists.sym_exponential(), 3.0)
+
+    def test_char_function_quadrature_failure_moves_on(self, monkeypatch):
+        def diverges(*args, **kwargs):
+            raise QuadratureError("forced")
+
+        monkeypatch.setattr(summoments, "integrate_adaptive", diverges)
+        est = reference_estimate(CV([1, 2]), dists.weibull_tail(2.0), 3.0, samples=10**4, seed=1)
+        assert est.method == "monteCarlo"
+        with pytest.raises(JobValidationError, match="seed"):
+            reference_estimate(CV([1, 2]), dists.weibull_tail(2.0), 3.0)
 
     def test_prefer_override(self):
         est = reference_estimate(
