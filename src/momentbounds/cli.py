@@ -207,6 +207,29 @@ def _validate(job: JobSpec):
     )
     if stochastic and job.seed is None:
         _fail("seed", "required for stochastic commands (no wall-clock default)")
+    if job.command == "search":
+        checks = _search_checks(job)
+        enumerating = [c for c in checks if c in ("comp2", "p24")]
+        if enumerating and job.nmax > summoments.ENUMERATION_CAP:
+            _fail(
+                "nmax",
+                f"must be <= {summoments.ENUMERATION_CAP} for the {' and '.join(enumerating)} search "
+                f"(exact sign enumeration), got {job.nmax}",
+            )
+        p_grid = _search_p_grid(job)
+        for c in checks:
+            lo, hi = verify.SEARCH_P_RANGES.get(c, (-math.inf, math.inf))
+            if not any(lo <= x <= hi for x in p_grid):
+                need = f"p >= {lo:g}" if hi == math.inf else f"{lo:g} <= p <= {hi:g}"
+                _fail("p", f"the {c} search needs an order with {need}, got {list(p_grid)}")
+
+
+def _search_checks(job: JobSpec) -> list[str]:
+    return [c for c in job.checks or verify.SEARCH_CHECKS if c in verify.SEARCH_CHECKS]
+
+
+def _search_p_grid(job: JobSpec) -> tuple[float, ...]:
+    return tuple(job.p) if job.p else verify.SEARCH_P_GRID
 
 
 def _job_digest(job: JobSpec) -> str:
@@ -310,11 +333,10 @@ def _run_verify(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
 
 
 def _run_search(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
-    checks = job.checks or list(verify.SEARCH_CHECKS)
-    checks = [c for c in checks if c in verify.SEARCH_CHECKS]
+    checks = _search_checks(job)
     if not checks:
         _fail("checks", f"no searchable checks among {job.checks!r}")
-    p_grid = tuple(job.p) if job.p else (2.5, 3.0, 4.0, 6.0)
+    p_grid = _search_p_grid(job)
     records = []
     violations = 0
     for i, check in enumerate(checks):

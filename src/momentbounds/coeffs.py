@@ -109,18 +109,26 @@ def norm(v: CoefficientVector, q: float) -> float:
         return float(a.max())
     if q == 1:
         return float(a.sum())
+    if q == 2:
+        return _l2_rows(a[None, :])[0]
     top = float(a.max())
     if top == 0.0:
         return 0.0
-    if q == 2:
-        # scaling by a power of two is exact, so in-range results keep every
-        # bit while squares of tiny or huge entries neither underflow nor
-        # overflow
-        e = math.frexp(top)[1]
-        s = np.ldexp(a, -e)
-        return math.ldexp(float(np.sqrt(np.sum(s * s))), e)
     # scale out the max to avoid overflow for large q
     return top * float(np.sum((a / top) ** q)) ** (1.0 / q)
+
+
+def _l2_rows(a: np.ndarray) -> list[float]:
+    """The l2 norm of each row of a (rows, n) array of absolute values.
+
+    Each row is scaled by the power of two of its largest entry; that is
+    exact, so in-range results keep every bit while squares of tiny or huge
+    entries neither underflow nor overflow.  A row gets the same bits in
+    any batch; OverflowError when a norm exceeds the float range.
+    """
+    e = np.frexp(a.max(axis=1, initial=0.0))[1]
+    s = np.ldexp(a, -e[:, None])
+    return list(map(math.ldexp, np.sqrt((s * s).sum(axis=1)).tolist(), e.tolist()))
 
 
 def head_tail_split(v: CoefficientVector, p: float) -> tuple[CoefficientVector, CoefficientVector]:

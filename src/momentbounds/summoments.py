@@ -324,17 +324,64 @@ def even_sum_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> Mome
 _ENUMERATION_BLOCK = 1 << 20
 
 
+def _enumeration_totals(a: np.ndarray, p: float) -> np.ndarray:
+    """sum |S|^p over the 2^{n-1} sign patterns with eps_1 = +1, for each row
+    of a (rows, n) array of canonical coefficients, n >= 1.
+
+    The patterns are taken in blocks of 2^20: the partial sums of the first
+    21 coefficients are built once, and each sign pattern of the remaining
+    ones is applied to a copy of that block.  Rows go in chunks whose blocks
+    hold at most 2^20 partial sums together, so memory is O(2^20) whatever n
+    and the number of rows are, while time stays proportional to 2^{n-1}.
+    Every float operation and the summation order of a row are those of a
+    sweep over one 2^{n-1}-element array summed in 2^20-element chunks, so
+    a row gets the same bits in any batch.
+    """
+    rows, n = a.shape
+    split = _ENUMERATION_BLOCK.bit_length()
+    width = 1 << (min(n, split) - 1)
+    chunk = _ENUMERATION_BLOCK // width
+    totals = np.zeros(rows)
+    for lo in range(0, rows, chunk):
+        part = a[lo : lo + chunk]
+        head, rest = part[:, :split], part[:, split:]
+        # fix eps_1 = +1, build the block's partial sums by in-place doubling
+        base = np.empty((len(part), width))
+        base[:, 0] = head[:, 0]
+        size = 1
+        for j in range(1, head.shape[1]):
+            coef = head[:, j : j + 1]
+            base[:, size : 2 * size] = base[:, :size] - coef
+            base[:, :size] += coef
+            size *= 2
+        # a power past the float range is inf, which the caller reports
+        with np.errstate(over="ignore"):
+            if rest.shape[1] == 0:
+                totals[lo : lo + chunk] = np.sum(np.abs(base) ** p, axis=1)
+                continue
+            # bit k of the pattern set means eps = -1 on rest[:, k]; this is
+            # the order of the 2^20-element chunks of the whole 2^{n-1} sweep
+            block = np.empty_like(base)
+            for pattern in range(1 << rest.shape[1]):
+                np.copyto(block, base)
+                for k in range(rest.shape[1]):
+                    if pattern >> k & 1:
+                        block -= rest[:, k : k + 1]
+                    else:
+                        block += rest[:, k : k + 1]
+                np.abs(block, out=block)
+                block **= p
+                totals[lo : lo + chunk] += np.sum(block, axis=1)
+    return totals
+
+
 def rademacher_sum_moment(v: CoefficientVector, p: float) -> MomentEstimate:
     """Exact E|sum a_i eps_i|^p over all sign patterns.
 
-    Symmetry halves the sweep to 2^{n-1} patterns of weight 2^{-(n-1)}.
-    The patterns are taken in blocks of 2^20: the partial sums of the first
-    21 coefficients are built once, and each sign pattern of the remaining
-    ones is applied to a copy of that block, so memory is O(2^20) whatever n
-    is, while time stays proportional to 2^{n-1}.  Every float operation and
-    the summation order are those of a sweep over one 2^{n-1}-element array
-    summed in 2^20-element chunks, so the result is bit-identical to it.
-    Refuses n > ENUMERATION_CAP; use Monte Carlo beyond the cap.
+    Symmetry halves the sweep to 2^{n-1} patterns of weight 2^{-(n-1)},
+    streamed in blocks of 2^20 (see _enumeration_totals), so memory is
+    O(2^20) whatever n is.  Refuses n > ENUMERATION_CAP; use Monte Carlo
+    beyond the cap.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
@@ -347,39 +394,48 @@ def rademacher_sum_moment(v: CoefficientVector, p: float) -> MomentEstimate:
         )
     if n == 0:
         return MomentEstimate.from_raw(p, 1.0 if p == 0 else 0.0, "enumeration", Rigor.exact())
-    # fix eps_1 = +1, build the block's partial sums by in-place doubling
-    split = _ENUMERATION_BLOCK.bit_length()
-    head, rest = a[:split], a[split:]
-    base = np.empty(1 << (len(head) - 1), dtype=float)
-    base[0] = head[0]
-    size = 1
-    for coef in head[1:]:
-        base[size : 2 * size] = base[:size] - coef
-        base[:size] += coef
-        size *= 2
-    # a power past the float range is inf, which the caller reports
-    with np.errstate(over="ignore"):
-        if len(rest) == 0:
-            total = float(np.sum(np.abs(base) ** p))
-        else:
-            # bit k of the pattern set means eps = -1 on rest[k]; this is the
-            # order of the 2^20-element chunks of the whole 2^{n-1} sweep
-            total = 0.0
-            block = np.empty_like(base)
-            for pattern in range(1 << len(rest)):
-                np.copyto(block, base)
-                for k, coef in enumerate(rest):
-                    if pattern >> k & 1:
-                        block -= coef
-                    else:
-                        block += coef
-                np.abs(block, out=block)
-                block **= p
-                total += float(np.sum(block))
+    total = float(_enumeration_totals(a[None, :], p)[0])
     return MomentEstimate.from_raw(p, total / (1 << (n - 1)), "enumeration", Rigor.exact())
 
 
 # --- exact Laplace partial fractions -----------------------------------------
+
+
+def _residue_rows(a: np.ndarray) -> tuple[np.ndarray, list[MomentBoundsError | None]]:
+    """Residues c (rows, n) of prod_j 1/(1 + a_j^2 t^2/2) for each row of a
+    (rows, n) array of canonical coefficients, with each row's refusal
+    (None where the row has residues; its row of c is then meaningless)."""
+    rows, n = a.shape
+    if n == 0:
+        return np.empty((rows, 0)), [DegenerateCoefficientsError("empty coefficient vector") for _ in range(rows)]
+    s = a * a
+    diffs = s[:, :, None] - s[:, None, :]
+    eye = np.eye(n, dtype=bool)
+    zero = (a == 0.0).any(axis=1)
+    crowded = np.where(eye, np.inf, np.abs(diffs)).min(axis=(1, 2)) < PARTIAL_FRACTION_GAP * s[:, 0]
+    # refused rows may divide by zero or overflow here
+    with np.errstate(all="ignore"):
+        c = np.where(eye, 1.0, s[:, :, None] / diffs).prod(axis=2)
+        mass = np.abs(c).sum(axis=1)
+
+    def refusal(i: int) -> MomentBoundsError | None:
+        if zero[i]:
+            return DegenerateCoefficientsError(
+                "partial fractions require all coefficients nonzero; use the recursion or Monte Carlo engine"
+            )
+        if crowded[i]:
+            return DegenerateCoefficientsError(
+                f"squared coefficients closer than relative gap {PARTIAL_FRACTION_GAP:g}; "
+                "use the recursion or Monte Carlo engine"
+            )
+        if mass[i] > RESIDUE_MAGNITUDE_CAP:
+            return ResidueCancellationError(
+                f"residue mass sum |c| exceeds {RESIDUE_MAGNITUDE_CAP:g}: "
+                "catastrophic cancellation; use the recursion or Monte Carlo engine"
+            )
+        return None
+
+    return c, [refusal(i) for i in range(rows)]
 
 
 def laplace_residues(v: CoefficientVector):
@@ -389,31 +445,25 @@ def laplace_residues(v: CoefficientVector):
     (relative gap >= PARTIAL_FRACTION_GAP).  Returns (canonical |a|, c).
     """
     a = _canonical(v, drop_zeros=False)
-    if len(a) == 0:
-        raise DegenerateCoefficientsError("empty coefficient vector")
-    if np.any(a == 0.0):
-        raise DegenerateCoefficientsError(
-            "partial fractions require all coefficients nonzero; "
-            "use the recursion or Monte Carlo engine"
-        )
-    s = a * a
-    top = float(s[0])
-    diffs = s[:, None] - s[None, :]
-    off = ~np.eye(len(a), dtype=bool)
-    if np.min(np.abs(diffs[off]), initial=np.inf) < PARTIAL_FRACTION_GAP * top:
-        raise DegenerateCoefficientsError(
-            f"squared coefficients closer than relative gap {PARTIAL_FRACTION_GAP:g}; "
-            "use the recursion or Monte Carlo engine"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(off, s[:, None] / diffs, 1.0)
-    c = np.prod(ratios, axis=1)
-    if float(np.sum(np.abs(c))) > RESIDUE_MAGNITUDE_CAP:
-        raise ResidueCancellationError(
-            f"residue mass sum |c| exceeds {RESIDUE_MAGNITUDE_CAP:g}: "
-            "catastrophic cancellation; use the recursion or Monte Carlo engine"
-        )
-    return a, c
+    c, (refusal,) = _residue_rows(a[None, :])
+    if refusal is not None:
+        raise refusal
+    return a, c[0]
+
+
+def _partial_fraction_rows(a: np.ndarray, p: float) -> tuple[np.ndarray, list[MomentBoundsError | None]]:
+    """E|sum a_i E_i|^p = Gamma(p+1) sum_i c_i (|a_i|/sqrt2)^p for each row of
+    a (rows, n) array of canonical coefficients, with each row's refusal
+    (None where the row has a moment)."""
+    c, refusals = _residue_rows(a)
+    with np.errstate(all="ignore"):
+        raw = (c * np.exp(log_gamma(p + 1.0) + p * np.log(a / SQRT2))).sum(axis=1)
+    for i, refusal in enumerate(refusals):
+        if refusal is None and raw[i] <= 0.0:
+            refusals[i] = ResidueCancellationError(
+                f"partial-fraction sum collapsed to {float(raw[i])!r}; cancellation too severe"
+            )
+    return raw, refusals
 
 
 def laplace_sum_moment_exact(v: CoefficientVector, p: float) -> MomentEstimate:
@@ -424,14 +474,9 @@ def laplace_sum_moment_exact(v: CoefficientVector, p: float) -> MomentEstimate:
     """
     if p <= -1:
         raise ValueError(f"p must be > -1, got {p!r}")
-    a, c = laplace_residues(v)
-    lg = log_gamma(p + 1.0)
-    terms = c * np.exp(lg + p * np.log(a / SQRT2))
-    raw = float(np.sum(terms))
-    if raw <= 0.0:
-        raise ResidueCancellationError(
-            f"partial-fraction sum collapsed to {raw!r}; cancellation too severe"
-        )
+    (raw,), (refusal,) = _partial_fraction_rows(_canonical(v, drop_zeros=False)[None, :], p)
+    if refusal is not None:
+        raise refusal
     return MomentEstimate.from_raw(p, raw, "partialFractions", Rigor.exact())
 
 
@@ -787,6 +832,26 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
         truncation = mgf(t1) * 0.25 ** (2 * top + 2) / (1.0 - 1.0 / 16.0) * t0**-p / (2 * top + 2 - p)
         closed_tail = [coef[j] * cut ** (2 * j - p) / (p - 2 * j) for j in range(m + 1)]
 
+        # phi_S and P_m come to within about n + m ulps of their size
+        rounding = _UNIT_ROUNDOFF * (
+            (n + m + 2) * sum(abs(coef[j]) * _power_integral(2 * j, p, t0, cut) for j in range(m + 1))
+            + (n + 2) * _power_integral(0, p, t0, cut)
+            + top * (sum(map(abs, series)) + sum(map(abs, closed_tail)))
+        )
+        # sin(p pi/2) = (-1)^k sin(r pi/2) for p = 2k + r: the exact remainder r
+        # keeps its relative accuracy near even p, where the sine vanishes
+        r = math.remainder(p, 2.0)
+        sine = math.sin(0.5 * math.pi * r) * (-1.0 if round((p - r) / 2.0) % 2 else 1.0)
+        c_p = -(2.0 / math.pi) * sine * math.gamma(p + 1.0)
+        # the integral is E|S|^p / |c_p| <= (E S^{2m+2})^{p/(2m+2)} / |c_p|
+        # (Lyapunov), so the rounding alone bounds eps from below
+        floor = rounding * abs(c_p) / mom[m + 1] ** (p / (2 * m + 2)) + 16 * _UNIT_ROUNDOFF
+        if floor > CHAR_FUNCTION_TOLERANCE:
+            raise EngineCapacityError(
+                f"charFunction's error bound is at least {floor:.3g}, above {CHAR_FUNCTION_TOLERANCE:g} "
+                f"at p={p!r}: the Taylor subtraction cancels"
+            )
+
         def remainder(t: float) -> float:
             s = t * t
             poly = coef[m]
@@ -795,12 +860,6 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
             return (phi(t) - poly) * t ** (-p - 1.0)
 
         body, abserr = integrate_adaptive(remainder, t0, cut, epsrel=1e-12)
-        # phi_S and P_m come to within about n + m ulps of their size
-        rounding = _UNIT_ROUNDOFF * (
-            (n + m + 2) * sum(abs(coef[j]) * _power_integral(2 * j, p, t0, cut) for j in range(m + 1))
-            + (n + 2) * _power_integral(0, p, t0, cut)
-            + top * (sum(map(abs, series)) + sum(map(abs, closed_tail)))
-        )
         total = sum(series) + body - sum(closed_tail)
 
         def phi_part(t: float) -> float:
@@ -816,11 +875,6 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
             total += piece
             abserr += err
             t_hi *= 2.0
-        # sin(p pi/2) = (-1)^k sin(r pi/2) for p = 2k + r: the exact remainder r
-        # keeps its relative accuracy near even p, where the sine vanishes
-        r = math.remainder(p, 2.0)
-        sine = math.sin(0.5 * math.pi * r) * (-1.0 if round((p - r) / 2.0) % 2 else 1.0)
-        c_p = -(2.0 / math.pi) * sine * math.gamma(p + 1.0)
         eps = (abserr + truncation + rounding + phi_tail) / abs(total) + 16 * _UNIT_ROUNDOFF
         raw = c_p * total * 2.0 ** (e * p)
     except OverflowError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +48,8 @@ __all__ = [
     "suite",
     "SUITE_CHECKS",
     "SEARCH_CHECKS",
+    "SEARCH_P_GRID",
+    "SEARCH_P_RANGES",
     "DEFAULT_P_GRID",
 ]
 
@@ -236,13 +238,17 @@ def default_t_grid(rng: np.random.Generator | None = None) -> np.ndarray:
 # --- deterministic checks ---------------------------------------------------------
 
 
-def _cos_product_margins(v: CoefficientVector, t: np.ndarray) -> np.ndarray:
-    a = v.as_array()
-    lhs = np.prod(np.cos(np.outer(t, a)), axis=1) + 0.5 * (a[0] * t) ** 2 if len(a) else np.ones_like(t)
-    if len(a) > 1:
-        rhs = np.exp(-np.sum(np.log1p(0.5 * np.outer(t, a[1:]) ** 2), axis=1))
-    else:
-        rhs = np.ones_like(t)
+def _cos_product_margins(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """prod cos(a_i t) + a_1^2 t^2/2 - prod_{i>=2} 1/(1 + a_i^2 t^2/2) for each
+    row of a (rows, n) array of rearranged coefficients at the points of the
+    same row of t (rows, m); (rows, m).  A row gets the same bits in any
+    batch.  Memory is a few rows x m x n floats."""
+    if a.shape[1] == 0:
+        return np.zeros(t.shape)
+    lhs = np.prod(np.cos(t[:, :, None] * a[:, None, :]), axis=2) + 0.5 * (a[:, :1] * t) ** 2
+    if a.shape[1] == 1:
+        return lhs - 1.0
+    rhs = np.exp(-np.sum(np.log1p(0.5 * (t[:, :, None] * a[:, None, 1:]) ** 2), axis=2))
     return lhs - rhs
 
 
@@ -255,7 +261,7 @@ def check_cos_product(
     if not v.is_rearranged():
         raise ValueError("check_cos_product requires a rearranged vector")
     t = np.asarray(list(t_grid), dtype=float)
-    margins = _cos_product_margins(v, t)
+    margins = _cos_product_margins(v.as_array()[None, :], t[None, :])[0]
     violations = int(np.sum(margins < -COS_PRODUCT_SLACK))
     worst = float(np.min(margins)) if len(margins) else math.inf
     return VerificationReport("cos_product", len(t), violations, worst, 0, 0, seed)
@@ -417,13 +423,22 @@ def check_gk_ratio(
 
 
 SEARCH_CHECKS = ("cos_product", "comp2", "p24", "rec2")
+SEARCH_P_GRID = (2.5, 3.0, 4.0, 6.0)
+# the orders p at which each searched inequality is proved
+SEARCH_P_RANGES = {"comp2": (2.0, math.inf), "p24": (2.0, 4.0), "rec2": (3.0, math.inf)}
+# iterations of one hill-climbing chain: a fresh instance, then perturbations
+# of the best state the chain has found
+_CHAIN = 25
+# float64 numbers drawn ahead for one window of chains, and elements of one
+# batch of cosine-product points x coefficients; 1 MB each
+_WORKING_SET = 1 << 17
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     check: str
     n_max: int = 6
-    p_grid: tuple[float, ...] = (2.5, 3.0, 4.0, 6.0)
+    p_grid: tuple[float, ...] = SEARCH_P_GRID
     iterations: int = 1000
     seed: int = 0
 
@@ -434,95 +449,164 @@ class SearchConfig:
             raise ValueError("iterations must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.check in ("comp2", "p24") and self.n_max > summoments.ENUMERATION_CAP:
+            raise ValueError(
+                f"the {self.check} search enumerates sign patterns: n_max must be "
+                f"<= {summoments.ENUMERATION_CAP}, got {self.n_max}"
+            )
+        if self.check in SEARCH_P_RANGES and not self.orders():
+            raise ValueError(f"p_grid {self.p_grid} has no order at which the {self.check} inequality is proved")
+
+    def orders(self) -> list[float]:
+        """The orders of p_grid at which the check's inequality is proved."""
+        lo, hi = SEARCH_P_RANGES[self.check]
+        return [x for x in self.p_grid if lo <= x <= hi]
 
 
-def _search_margin(check: str, inst: tuple, rng: np.random.Generator) -> float:
-    """Worst margin of one instance, exact/deterministic engines only: with
-    no seed, the exponential ladder stops at the recursion, which refuses
-    nothing.  The vector of an instance is already rearranged."""
-    if check == "cos_product":
-        v, = inst
-        t = np.concatenate([np.geomspace(1e-3, 50.0, 64), rng.uniform(0.0, 100.0, 32)])
-        return float(np.min(_cos_product_margins(v, t)))
-    if check == "rec2":
-        a, b, p = inst
-        lhs = dists.single_moment_rademacher(a, b, p)
-        rhs = abs(b) ** p + 0.5 * p * (p - 1.0) * a * a * abs(b) ** (p - 2.0)
-        return (lhs - rhs) / max(1.0, abs(rhs))
-    v, p = inst
-    rad = _Norm.from_estimate(summoments.rademacher_sum_moment(v, p))
-    if check == "comp2":
-        _, tail = coeffs.head_tail_split(v, p)
-        lap = _Norm.from_estimate(reference_estimate(tail, dists.sym_exponential(), p))
-        links = [
-            gamma_p(p) * coeffs.norm(v, 2) - rad.value,
-            rad.value - lap.value,
-            lap.value - gamma_p(p) * coeffs.norm(tail, 2),
-        ]
-        return min(links)
-    # p24
-    rest = CoefficientVector(v.values[1:])
-    lap = _Norm.from_estimate(reference_estimate(rest, dists.sym_exponential(), p))
-    return rad.value - lap.value
+class _Chain(NamedTuple):
+    """The numbers one chain draws: its fresh instance (rearranged
+    coefficients, or a and b for rec2) with its order p, the standard normals
+    of each perturbation, and the random points of each iteration (32 for
+    cos_product, none for the other checks)."""
+
+    start: np.ndarray
+    p: float | None
+    normals: np.ndarray
+    points: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.start.size + self.normals.size + self.points.size
 
 
-def _search_instance(check: str, cfg: SearchConfig, rng: np.random.Generator) -> tuple:
-    if check == "rec2":
-        a = float(rng.uniform(-3.0, 3.0))
-        b = float(rng.uniform(-3.0, 3.0))
-        p = float(rng.choice([x for x in cfg.p_grid if x >= 3.0] or [3.0]))
-        return (a, b, p)
-    n = int(rng.integers(1, cfg.n_max + 1))
-    v = coeffs.rearrange(sample_coefficient_vector(rng, n))
-    if check == "cos_product":
-        return (v,)
-    if check == "p24":
-        p_ok = [x for x in cfg.p_grid if 2.0 <= x <= 4.0]
+def _draw_chain(cfg: SearchConfig, rng: np.random.Generator, length: int) -> _Chain:
+    """The numbers of one chain of `length` iterations, drawn in the order in
+    which a one-iteration-at-a-time hill-climb draws them."""
+    if cfg.check == "rec2":
+        start = np.array([float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0))])
     else:
-        p_ok = [x for x in cfg.p_grid if x >= 2.0]
-    p = float(rng.choice(p_ok or [3.0]))
-    return (v, p)
+        n = int(rng.integers(1, cfg.n_max + 1))
+        start = coeffs.rearrange(sample_coefficient_vector(rng, n)).as_array()
+    if cfg.check != "cos_product":
+        p = float(rng.choice(cfg.orders()))
+        return _Chain(start, p, rng.standard_normal((length - 1, len(start))), np.empty((length, 0)))
+    normals = np.empty((length - 1, len(start)))
+    points = np.empty((length, 32))
+    for it in range(length):
+        if it:
+            normals[it - 1] = rng.standard_normal(len(start))
+        points[it] = rng.uniform(0.0, 100.0, 32)
+    return _Chain(start, None, normals, points)
 
 
-def _search_perturb(check: str, inst: tuple, rng: np.random.Generator) -> tuple:
+def _search_margins(check: str, v: np.ndarray, p: float | None, t: np.ndarray | None) -> np.ndarray:
+    """Worst margin of each instance of one (n, p) group, exact engines only:
+    rows v of rearranged coefficients (a and b for rec2), at the points t
+    (cos_product).  Rows that partial fractions refuse take the exponential
+    ladder, which with no seed stops at the recursion (it refuses nothing)."""
+    if check == "cos_product":
+        step = max(1, _WORKING_SET // (t.shape[1] * v.shape[1]))
+        return np.concatenate(
+            [np.min(_cos_product_margins(v[i : i + step], t[i : i + step]), axis=1) for i in range(0, len(v), step)]
+        )
     if check == "rec2":
-        a, b, p = inst
-        return (a * (1.0 + 0.1 * rng.standard_normal()), b * (1.0 + 0.1 * rng.standard_normal()), p)
-    v = inst[0]
-    vals = v.as_array() * (1.0 + 0.15 * rng.standard_normal(len(v)))
-    v2 = coeffs.rearrange(CoefficientVector(vals))
-    return (v2,) + inst[1:]
+        out = []
+        for a, b in v.tolist():
+            lhs = dists.single_moment_rademacher(a, b, p)
+            rhs = abs(b) ** p + 0.5 * p * (p - 1.0) * a * a * abs(b) ** (p - 2.0)
+            out.append((lhs - rhs) / max(1.0, abs(rhs)))
+        return np.array(out)
+    n = v.shape[1]
+    rad = [summoments._norm_from_raw(p, r) for r in (summoments._enumeration_totals(v, p) / (1 << (n - 1))).tolist()]
+    rest = v[:, min(coeffs.half_ceil(p) - 1, n) :] if check == "comp2" else v[:, 1:]
+    raw, refusals = summoments._partial_fraction_rows(rest, p)
+    # equal rows (above all, the empty tails of small n) share one ladder walk
+    rows = [tuple(row) for row in rest.tolist()]
+    refused = {row for row, refusal in zip(rows, refusals) if refusal is not None}
+    ladder = {row: reference_estimate(CoefficientVector(row), dists.sym_exponential(), p).value for row in refused}
+    lap = [ladder[row] if row in ladder else summoments._norm_from_raw(p, r) for r, row in zip(raw.tolist(), rows)]
+    if check == "p24":
+        return np.array([x - y for x, y in zip(rad, lap)])
+    g = gamma_p(p)
+    return np.array(
+        [
+            min(g * whole - x, x - y, y - g * tail)
+            for x, y, whole, tail in zip(rad, lap, coeffs._l2_rows(v), coeffs._l2_rows(rest))
+        ]
+    )
+
+
+def _climb(check: str, chains: list[_Chain], slack: float) -> tuple[list[float], np.ndarray, int]:
+    """Advance chains of one (n, p, length) group side by side, one
+    iteration at a time: perturb each chain's best state, score all rows in
+    one batch, and keep the better rows.  Returns each chain's worst margin
+    with its first instance, and the count of margins below -slack."""
+    state = np.stack([c.start for c in chains])
+    normals = np.stack([c.normals for c in chains])
+    points = np.stack([c.points for c in chains])
+    fixed = np.broadcast_to(np.geomspace(1e-3, 50.0, 64), (len(chains), 64))
+    best = np.full(len(chains), math.inf)
+    violations = 0
+    for it in range(normals.shape[1] + 1):
+        if it == 0:
+            inst = state
+        elif check == "rec2":
+            inst = state * (1.0 + 0.1 * normals[:, it - 1])
+        else:
+            inst = -np.sort(-np.abs(state * (1.0 + 0.15 * normals[:, it - 1])), axis=1)
+        t = np.concatenate([fixed, points[:, it]], axis=1) if check == "cos_product" else None
+        margins = _search_margins(check, inst, chains[0].p, t)
+        violations += int(np.count_nonzero(margins < -slack))
+        better = margins < best
+        best[better] = margins[better]
+        state[better] = inst[better]
+    return best.tolist(), state, violations
 
 
 def search_counterexamples(config: SearchConfig) -> VerificationReport:
     """Random restarts plus coordinate-wise perturbation hill-climbing on the
     negative margin of the chosen inequality.  Returns the minimal margin
     found and its witness; a margin below the combined slack would expose an
-    implementation bug (the inequalities are proved)."""
+    implementation bug (the inequalities are proved).
+
+    Iteration it starts a fresh instance when it % 25 == 0 and otherwise
+    perturbs the best state of its chain.  How many numbers an iteration
+    draws never depends on a margin, so the numbers of a window of chains
+    are drawn first, in stream order, and the chains of the window then
+    advance side by side, batched by (n, p) and chain length.  The report
+    is the one the one-iteration-at-a-time loop gives, bit for bit: the
+    first witness of the worst margin, and the count of margins below the
+    slack.
+    """
     rng = dists.substream(config.seed, 0)
     slack = COS_PRODUCT_SLACK if config.check == "cos_product" else NUMERICAL_SLACK * 10
-    best_local = math.inf
-    state = None
+    lengths = [min(_CHAIN, config.iterations - it) for it in range(0, config.iterations, _CHAIN)]
     worst = math.inf
     witness: tuple[float, ...] | None = None
     witness_p: float | None = None
     violations = 0
-    for it in range(config.iterations):
-        if state is None or it % 25 == 0:
-            inst = _search_instance(config.check, config, rng)
-            best_local = math.inf
-        else:
-            inst = _search_perturb(config.check, state, rng)
-        margin = _search_margin(config.check, inst, rng)
-        if margin < best_local:
-            best_local = margin
-            state = inst
-        if margin < worst:
-            worst = margin
-            witness = tuple(float(x) for x in (inst if config.check == "rec2" else inst[0].values))
-            witness_p = None if config.check == "cos_product" else float(inst[-1])
-        if margin < -slack:
-            violations += 1
+    done = 0
+    while done < len(lengths):
+        window: list[_Chain] = []
+        drawn = 0
+        while done < len(lengths) and drawn < _WORKING_SET:
+            window.append(_draw_chain(config, rng, lengths[done]))
+            drawn += window[-1].size
+            done += 1
+        groups: dict[tuple, list[int]] = {}
+        for i, chain in enumerate(window):
+            groups.setdefault((len(chain.start), chain.p, len(chain.normals)), []).append(i)
+        found: dict[int, tuple[float, np.ndarray]] = {}
+        for members in groups.values():
+            best, state, bad = _climb(config.check, [window[i] for i in members], slack)
+            violations += bad
+            found.update(zip(members, zip(best, state)))
+        for i, chain in enumerate(window):
+            b, s = found[i]
+            if b < worst:
+                worst = b
+                witness = tuple(s.tolist()) + ((chain.p,) if config.check == "rec2" else ())
+                witness_p = chain.p
     return VerificationReport(
         config.check + "_search", config.iterations, violations, worst, 0, 0, config.seed, witness, witness_p
     )

@@ -416,6 +416,28 @@ class TestSearchCommand:
         assert rec["violations"] == 0
         assert isinstance(rec["witness"], list)
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--checks", "comp2", "--nmax", str(summoments.ENUMERATION_CAP + 1)], "nmax"),
+            (["--nmax", "40"], "nmax"),
+            (["--checks", "comp2", "--p", "1.5"], "p"),
+            (["--checks", "p24", "--p", "5,6"], "p"),
+            (["--checks", "rec2,cos_product", "--p", "2.5"], "p"),
+        ],
+    )
+    def test_rejected_before_searching(self, argv, field, capsys):
+        status, out, err = invoke(["search", *argv, "--iterations", "400", "--seed", "1"], capsys)
+        assert status == cli.EXIT_USAGE
+        assert err.startswith(f"error: {field}:")
+        assert out == ""
+
+    def test_checks_without_enumeration_or_order_take_any(self, capsys):
+        argv = ["search", "--checks", "cos_product", "--nmax", "40", "--p", "1.5", "--iterations", "30", "--seed", "1"]
+        status, out, _ = invoke(argv, capsys)
+        assert status == cli.EXIT_OK
+        assert len(records_of(out)[0]["witness"]) <= 40
+
     def test_witness_p_field(self, capsys):
         argv = ["search", "--checks", "cos_product,p24", "--iterations", "30", "--seed", "3"]
         status, out, _ = invoke(argv, capsys)

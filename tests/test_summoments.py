@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 import oracles
-from momentbounds import dists
+from momentbounds import dists, summoments
 from momentbounds.coeffs import CoefficientVector
 from momentbounds.errors import (
     DegenerateCoefficientsError,
@@ -207,6 +207,30 @@ class TestEvenMoments:
     def test_refuses_overflow(self, values, d, p):
         with pytest.raises(EngineCapacityError, match="overflow"):
             even_sum_moment(CV(values), d, p)
+
+
+class TestRowKernels:
+    """A batch of rows gets the bits each row gets alone from its engine."""
+
+    # n = 21 fills a whole block per row, n = 22 streams two blocks per row
+    @pytest.mark.parametrize("n, rows", [(3, 50), (21, 3), (22, 2)])
+    def test_enumeration_rows(self, n, rows):
+        a = -np.sort(-np.random.default_rng(n).uniform(0.0, 2.0, (rows, n)), axis=1)
+        for p in (2.0, 3.5):
+            totals = summoments._enumeration_totals(a, p) / (1 << (n - 1))
+            assert totals.tolist() == [rademacher_sum_moment(CV(row), p).raw_moment for row in a]
+
+    def test_partial_fraction_rows_and_refusals(self):
+        a = -np.sort(-np.random.default_rng(5).uniform(0.1, 2.0, (40, 4)), axis=1)
+        a[3, 1] = a[3, 0]  # equal squares
+        a[7, 3] = 0.0
+        for p in (2.0, 3.5):
+            raw, refusals = summoments._partial_fraction_rows(a, p)
+            for row, r, refusal in zip(a, raw, refusals):
+                try:
+                    assert r == laplace_sum_moment_exact(CV(row), p).raw_moment and refusal is None
+                except (DegenerateCoefficientsError, ResidueCancellationError) as exc:
+                    assert type(refusal) is type(exc) and str(refusal) == str(exc)
 
 
 class TestPartialFractions:
@@ -422,6 +446,15 @@ class TestCharFunction:
     def test_refuses_a_bound_past_the_label(self):
         with pytest.raises(EngineCapacityError, match="error bound"):
             char_function_moment(CV([1.0]), self.W2, 13.5)
+
+    def test_refuses_large_p_before_any_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(summoments, "integrate_adaptive", forbidden)
+        for v in (CV([1.0, 2.0]), CV([1.0] * 5), CV([1.5, 0.5, 0.3])):
+            with pytest.raises(EngineCapacityError, match="error bound is at least"):
+                char_function_moment(v, self.W2, 25.0)
 
     def test_refuses_work_and_range(self):
         with pytest.raises(EngineCapacityError, match=str(EVEN_MOMENT_CAP)):

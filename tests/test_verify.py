@@ -173,7 +173,99 @@ class TestGkRatio:
         assert r.cases == 0
 
 
+def cos_margins(a, t):
+    """The cosine-product margins of one vector, one point per row."""
+    lhs = np.prod(np.cos(np.outer(t, a)), axis=1) + 0.5 * (a[0] * t) ** 2 if len(a) else np.ones_like(t)
+    rhs = np.exp(-np.sum(np.log1p(0.5 * np.outer(t, a[1:]) ** 2), axis=1)) if len(a) > 1 else np.ones_like(t)
+    return lhs - rhs
+
+
+ORDERS = {"comp2": lambda x: x >= 2.0, "p24": lambda x: 2.0 <= x <= 4.0, "rec2": lambda x: x >= 3.0}
+
+
+def sequential_margin(check, inst, rng):
+    if check == "cos_product":
+        t = np.concatenate([np.geomspace(1e-3, 50.0, 64), rng.uniform(0.0, 100.0, 32)])
+        return float(np.min(cos_margins(inst[0].as_array(), t)))
+    if check == "rec2":
+        a, b, p = inst
+        rhs = abs(b) ** p + 0.5 * p * (p - 1.0) * a * a * abs(b) ** (p - 2.0)
+        return (dists.single_moment_rademacher(a, b, p) - rhs) / max(1.0, abs(rhs))
+    v, p = inst
+    rad = summoments.rademacher_sum_moment(v, p).value
+    if check == "p24":
+        return rad - reference_estimate(CV(v.values[1:]), dists.sym_exponential(), p).value
+    _, tail = coeffs.head_tail_split(v, p)
+    lap = reference_estimate(tail, dists.sym_exponential(), p).value
+    return min(gamma_p(p) * coeffs.norm(v, 2) - rad, rad - lap, lap - gamma_p(p) * coeffs.norm(tail, 2))
+
+
+def sequential_search(cfg):
+    """The hill-climb one iteration at a time: the reference the lockstep
+    search must reproduce bit for bit."""
+    rng = dists.substream(cfg.seed, 0)
+    slack = verify.COS_PRODUCT_SLACK if cfg.check == "cos_product" else verify.NUMERICAL_SLACK * 10
+    worst, witness, witness_p, violations, best, state = math.inf, None, None, 0, math.inf, None
+    orders = [x for x in cfg.p_grid if ORDERS[cfg.check](x)] if cfg.check in ORDERS else None
+    for it in range(cfg.iterations):
+        if state is None or it % 25 == 0:
+            best = math.inf
+            if cfg.check == "rec2":
+                inst = (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)), float(rng.choice(orders)))
+            else:
+                v = coeffs.rearrange(sample_coefficient_vector(rng, int(rng.integers(1, cfg.n_max + 1))))
+                inst = (v,) if orders is None else (v, float(rng.choice(orders)))
+        elif cfg.check == "rec2":
+            a, b, p = state
+            inst = (a * (1.0 + 0.1 * rng.standard_normal()), b * (1.0 + 0.1 * rng.standard_normal()), p)
+        else:
+            vals = state[0].as_array() * (1.0 + 0.15 * rng.standard_normal(len(state[0])))
+            inst = (coeffs.rearrange(CV(vals)),) + state[1:]
+        margin = sequential_margin(cfg.check, inst, rng)
+        if margin < best:
+            best, state = margin, inst
+        if margin < worst:
+            worst = margin
+            witness = tuple(float(x) for x in (inst if cfg.check == "rec2" else inst[0].values))
+            witness_p = None if cfg.check == "cos_product" else float(inst[-1])
+        violations += margin < -slack
+    return verify.VerificationReport(
+        cfg.check + "_search", cfg.iterations, violations, worst, 0, 0, cfg.seed, witness, witness_p
+    )
+
+
 class TestSearch:
+    @pytest.mark.parametrize("check", verify.SEARCH_CHECKS)
+    @pytest.mark.parametrize("p_grid", [verify.SEARCH_P_GRID, (1.5, 2.0, 3.5, 4.5, 8.0)])
+    def test_lockstep_matches_sequential(self, check, p_grid):
+        for seed in (0, 13, 424242):
+            for iterations in (1, 24, 25, 26, 137):
+                for n_max in (1, 3, 6):
+                    cfg = SearchConfig(check, n_max=n_max, p_grid=p_grid, iterations=iterations, seed=seed)
+                    assert search_counterexamples(cfg) == sequential_search(cfg), cfg
+
+    def test_cos_product_suite_check_unchanged(self):
+        rng = dists.substream(3, 0)
+        for n in (1, 2, 4, 8):
+            v = coeffs.rearrange(sample_coefficient_vector(rng, n))
+            grid = default_t_grid(rng)
+            m = cos_margins(v.as_array(), grid)
+            violations = int(np.sum(m < -1e-12))
+            want = verify.VerificationReport("cos_product", len(grid), violations, float(np.min(m)), 0, 0, 3)
+            assert check_cos_product(v, grid, seed=3) == want
+
+    def test_p_grid_must_meet_the_check(self):
+        for check, grid in (("comp2", (1.5,)), ("p24", (5.0, 6.0)), ("rec2", (2.5,))):
+            with pytest.raises(ValueError, match=check):
+                SearchConfig(check, p_grid=grid)
+        assert SearchConfig("cos_product", p_grid=(1.5,)).p_grid == (1.5,)
+
+    def test_enumerating_checks_cap_n_max(self):
+        for check in ("comp2", "p24"):
+            with pytest.raises(ValueError, match=str(summoments.ENUMERATION_CAP)):
+                SearchConfig(check, n_max=summoments.ENUMERATION_CAP + 1)
+        SearchConfig("cos_product", n_max=5000)
+
     def test_finds_no_counterexamples(self):
         for check in ["cos_product", "rec2"]:
             r = search_counterexamples(SearchConfig(check, iterations=400, seed=11))
