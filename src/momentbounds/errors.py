@@ -19,8 +19,8 @@ class EngineCapacityError(MomentBoundsError):
 
 class DegenerateCoefficientsError(MomentBoundsError):
     """Coefficients violate the distinctness/nonzero preconditions of the
-    partial-fraction engine.  Monte Carlo (or the recursion engine) is the
-    designated fallback.
+    partial-fraction engine.  The exponential ladder moves on to the
+    characteristic-function engine and, where that cancels, the recursion.
     """
 
 

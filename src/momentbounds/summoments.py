@@ -1,6 +1,6 @@
 """Moment engines for S = sum_i a_i X_i.
 
-Seven independent routes to E|S|^p / ||S||_p:
+Seven routes to E|S|^p / ||S||_p:
 
 * ``evenMoments``      — exact positive-term dynamic program over prefix sums
                          for even integer p, in O(n p^2) (every law),
@@ -9,9 +9,9 @@ Seven independent routes to E|S|^p / ||S||_p:
                          coefficients (two-sided exponential),
 * ``recursion``        — the conditional moment recursion
                          E|S|^p = E|S'|^p + p(p-1)/2 a_1^2 E|S|^{p-2}
-                         over suffix sums; exact for even integer p, a single
-                         fractional-order characteristic-function integral
-                         otherwise (two-sided exponential, any coefficients),
+                         over suffix sums; exact for even integer p, from
+                         charFunction's integrals of order below 2 otherwise
+                         (two-sided exponential, any coefficients),
 * ``haagerup``         — the characteristic-function representation
                          E|S|^p = C_p int (phi - 1 + t^2 E S^2 / 2) t^{-p-1} dt
                          with C_p = -(2/pi) sin(p pi/2) Gamma(p+1), 2 < p < 4,
@@ -117,7 +117,7 @@ ENGINES = {
     "partialFractions": Engine(
         "laplace_sum_moment_exact", _EXPONENTIAL, True, (DegenerateCoefficientsError, ResidueCancellationError)
     ),
-    "recursion": Engine("laplace_sum_moment_recursion", _EXPONENTIAL, True),
+    "recursion": Engine("laplace_sum_moment_recursion", _EXPONENTIAL, True, (EngineCapacityError, QuadratureError)),
     "haagerup": Engine("haagerup_moment", _SIGNS | _EXPONENTIAL, False, args=("v", "law", "p")),
     "charFunction": Engine(
         "char_function_moment",
@@ -135,7 +135,7 @@ ENGINES = {
 # default preference ladder of each engine law, strongest engine first
 LADDERS = {
     dists.RADEMACHER: ("evenMoments", "enumeration", "monteCarlo"),
-    dists.SYM_EXPONENTIAL: ("partialFractions", "recursion", "monteCarlo"),
+    dists.SYM_EXPONENTIAL: ("partialFractions", "charFunction", "recursion", "monteCarlo"),
     dists.GAUSSIAN: ("closedForm",),
     dists.WEIBULL_TAIL: ("evenMoments", "charFunction", "monteCarlo"),
 }
@@ -248,31 +248,31 @@ def _even_binomials(half: int) -> list[list[float]]:
     return rows
 
 
-def _even_levels(a: np.ndarray, d: DistributionSpec, half: int) -> tuple[int, list[float]]:
-    """The exponent e of the power of two with max |a_i| < 2^e <= 2 max |a_i|,
-    and the levels E S^{2k}, k = 0..half, of the scaled sum
-    S = sum (a_i / 2^e) X_i, by a dynamic program over its prefix sums S_k:
+def _prefix_even_levels(a: np.ndarray, d: DistributionSpec, half: int):
+    """After each coefficient of a, the exponent e with max |a_i| < 2^e <=
+    2 max |a_i| over the prefix so far and the levels E S^{2k}, k = 0..half,
+    of the scaled prefix sum S = sum (a_i / 2^e) X_i (one list, updated in
+    place), by a dynamic program over prefix sums:
 
         E S_{k+1}^{2m} = sum_{j=0}^{m} C(2m, 2j) a_{k+1}^{2j} E X^{2j} E S_k^{2m-2j},
 
     with E X^{2j} from dists.single_abs_moment.  The odd moments of a
     symmetric law vanish, so every term is nonnegative and nothing cancels;
-    dividing by 2^e is exact.  a is canonical (see _canonical).  Work is
-    n half^2: EngineCapacityError above EVEN_MOMENT_CAP, OverflowError when
-    a level or a moment of one variable leaves the float range.
+    dividing by 2^e is exact.  A larger coefficient than the prefix's
+    rescales the levels by an exact power of two (what underflows is
+    negligible next to its own term).  Work is len(a) half^2; OverflowError
+    when a level or a moment of one variable leaves the float range.
     """
-    n = len(a)
-    if n * half * half > EVEN_MOMENT_CAP:
-        raise EngineCapacityError(
-            f"the even-moment recursion handles work n k^2 <= {EVEN_MOMENT_CAP} "
-            f"for k = {half} levels, got {n * half * half}"
-        )
-    e = math.frexp(float(a[0]))[1] if n else 0
     rows = _even_binomials(half)
     ex = [dists.single_abs_moment(d, 2.0 * j) for j in range(half + 1)]
+    e = math.frexp(float(a[0]))[1] if len(a) else 0
     m = [1.0] + [0.0] * half  # E S^{2k} of the empty sum
     w = [1.0] * (half + 1)  # a^{2j} E X^{2j} of the next term
     for x in a:
+        if (grow := math.frexp(float(x))[1] - e) > 0:
+            e += grow
+            for k in range(1, half + 1):
+                m[k] = math.ldexp(m[k], -2 * k * grow)
         y = math.ldexp(float(x), -e)
         y2 = y * y
         power = 1.0
@@ -288,8 +288,21 @@ def _even_levels(a: np.ndarray, d: DistributionSpec, half: int) -> tuple[int, li
             for j in range(k + 1):
                 total += row[j] * (w[j] * m[k - j])
             m[k] = total
-    if not math.isfinite(m[half]):
-        raise OverflowError(f"E S^{2 * half} of the scaled sum is {m[half]!r}")
+        if not math.isfinite(m[half]):
+            raise OverflowError(f"E S^{2 * half} of the scaled sum is {m[half]!r}")
+        yield e, m
+
+
+def _even_levels(a: np.ndarray, d: DistributionSpec, half: int) -> tuple[int, list[float]]:
+    """The last (e, levels) of _prefix_even_levels for a canonical a (see
+    _canonical); EngineCapacityError for work n half^2 above EVEN_MOMENT_CAP."""
+    if (work := len(a) * half * half) > EVEN_MOMENT_CAP:
+        raise EngineCapacityError(
+            f"the even-moment recursion handles work n k^2 <= {EVEN_MOMENT_CAP} for k = {half} levels, got {work}"
+        )
+    e, m = 0, [1.0] + [0.0] * half
+    for e, m in _prefix_even_levels(a, d, half):
+        pass
     return e, m
 
 
@@ -421,17 +434,17 @@ def _residue_rows(a: np.ndarray) -> tuple[np.ndarray, list[MomentBoundsError | N
     def refusal(i: int) -> MomentBoundsError | None:
         if zero[i]:
             return DegenerateCoefficientsError(
-                "partial fractions require all coefficients nonzero; use the recursion or Monte Carlo engine"
+                "partial fractions require all coefficients nonzero; use the charFunction or recursion engine"
             )
         if crowded[i]:
             return DegenerateCoefficientsError(
                 f"squared coefficients closer than relative gap {PARTIAL_FRACTION_GAP:g}; "
-                "use the recursion or Monte Carlo engine"
+                "use the charFunction or recursion engine"
             )
         if mass[i] > RESIDUE_MAGNITUDE_CAP:
             return ResidueCancellationError(
                 f"residue mass sum |c| exceeds {RESIDUE_MAGNITUDE_CAP:g}: "
-                "catastrophic cancellation; use the recursion or Monte Carlo engine"
+                "catastrophic cancellation; use the charFunction or recursion engine"
             )
         return None
 
@@ -488,14 +501,19 @@ def laplace_sum_moment_recursion(v: CoefficientVector, p: float) -> MomentEstima
 
         F(i, q) = F(i+1, q) + q(q-1)/2 * a_i^2 * F(i, q-2),
 
-    descending q by 2 until the base order lies in [0, 2).  The base case
-    q = 0 is exact (moment 1), so even integer p needs no quadrature at all;
-    fractional base orders use the characteristic-function integral
-    E|S|^q = C_q int_0^inf (1 - phi_S(t)) t^{-q-1} dt, 0 < q < 2,
-    with C_q = 2 Gamma(q+1) sin(q pi/2) / pi.
+    descending q by 2 until the base order q0 lies in [0, 2).  The base case
+    q0 = 0 is exact (moment 1), so even integer p needs no quadrature at all;
+    a fractional q0 takes E|S_i|^{q0} of all n suffixes from charFunction's
+    integral (O(n) per integrand evaluation, no work cap), and its refusals
+    (EngineCapacityError, QuadratureError) are the recursion's.
 
-    Works for any coefficients (repeated values included), which makes it the
-    high-precision fallback where partial fractions refuse.
+    Works for any coefficients (repeated values included) and at every p:
+    the fallback where charFunction's Taylor subtraction cancels (non-even p
+    from about 9.5 at n = 2 to 13.5 at n = 100 upward) or its work cap
+    refuses.  Rigor: exact for even p; otherwise tolerance(eps), eps the
+    largest relative error of a base level (one that underflows the normal
+    range is not counted) plus (n + 3) rounding units per level of the
+    ascent, which adds nonnegative terms only.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
@@ -512,57 +530,25 @@ def laplace_sum_moment_recursion(v: CoefficientVector, p: float) -> MomentEstima
     q0 = ladder[-1]  # base order in [0, 2)
     if q0 == 0.0:
         level = [1.0] * (n + 1)
-        exact = True
+        eps = None
     else:
-        level = [_laplace_fractional_moment(a[i:], q0) for i in range(n)]
-        level.append(0.0)  # empty suffix, q0 > 0
-        exact = False
+        # E|S_i|^{q0} of every suffix, shortest first; the empty one stays 0
+        level, eps = [0.0] * (n + 1), 0.0
+        d = dists.sym_exponential()
+        for i, (e, mom) in zip(range(n - 1, -1, -1), _prefix_even_levels(a[::-1], d, _SERIES_TERMS)):
+            value, err = _char_function_integral(d.kind, d.scale, np.ldexp(a[i:], -e), mom, q0)
+            level[i], eps = value * 2.0 ** (e * q0), max(eps, err)
+        # a term adds 4 roundings (coef, three products) to the relative error
+        # of the level below, and a sum of n nonnegative terms n - 1 more
+        eps += (len(ladder) - 1) * (n + 3) * _UNIT_ROUNDOFF
     for q in reversed(ladder[:-1]):
         nxt = [0.0] * (n + 1)
         coef = 0.5 * q * (q - 1.0)
         for i in range(n - 1, -1, -1):
             nxt[i] = nxt[i + 1] + coef * a[i] * a[i] * level[i]
         level = nxt
-    rigor = Rigor.exact() if exact else Rigor.tolerance(1e-10)
+    rigor = Rigor.exact() if eps is None else Rigor.tolerance(eps)
     return MomentEstimate.from_raw(p, level[0], "recursion", rigor)
-
-
-def _laplace_fractional_moment(a_desc: np.ndarray, q: float) -> float:
-    """E|sum a_i E_i|^q for 0 < q < 2 via the characteristic function.
-
-    1 - phi is evaluated as -expm1(-sum log1p(a_i^2 t^2/2)) (no cancellation),
-    the semi-infinite range as doubling blocks plus the closed-form tail
-    int_T^inf t^{-q-1} dt = T^{-q}/q; the remaining phi-tail is bounded by
-    phi(T) T^{-q}/q and driven below 1e-13 of the accumulated integral.
-    """
-    amax = float(a_desc[0])
-    ah = a_desc / amax
-    ah2 = ah * ah
-
-    def one_minus_phi(t: float) -> float:
-        expo = 0.0
-        tt = 0.5 * t * t
-        for s in ah2:
-            expo += math.log1p(s * tt)
-        return -math.expm1(-expo)
-
-    def integrand(t: float) -> float:
-        return one_minus_phi(t) * t ** (-q - 1.0)
-
-    acc = integrate_adaptive(integrand, 0.0, 1.0, epsrel=1e-12)[0]
-    t_hi = 1.0
-    while True:
-        acc += integrate_adaptive(integrand, t_hi, 2.0 * t_hi, epsrel=1e-12)[0]
-        t_hi *= 2.0
-        closed_tail = t_hi ** (-q) / q
-        phi_tail = (1.0 - one_minus_phi(t_hi)) * closed_tail
-        if phi_tail <= 1e-13 * (acc + closed_tail):
-            acc += closed_tail
-            break
-        if t_hi > 2.0**34:
-            raise QuadratureError("fractional-moment tail did not close below 2^34")
-    c_q = 2.0 * math.exp(log_gamma(q + 1.0)) * math.sin(0.5 * q * math.pi) / math.pi
-    return amax**q * c_q * acc
 
 
 # --- Haagerup representation, 2 < p < 4 ---------------------------------------
@@ -772,6 +758,74 @@ def _power_integral(k: int, p: float, lo: float, hi: float) -> float:
     return (hi ** (k - p) - lo ** (k - p)) / (k - p)
 
 
+def _char_function_integral(law: str, b: float, y: np.ndarray, mom: list[float], p: float) -> tuple[float, float]:
+    """E|S|^p and its relative error bound for S = sum y_i X_i, max |y_i| in
+    [1/2, 1), with levels mom[j] = E S^{2j}, j <= p/2 + 13: the numerics and
+    refusals of char_function_moment, past the float range OverflowError."""
+    n = len(y)
+    m = int(p) // 2
+    top = m + _SERIES_TERMS
+    phi, envelope, mgf, radius = _char_functions(law, b, y)
+    coef = [(-1) ** j * mom[j] / math.factorial(2 * j) for j in range(top + 1)]
+    t1 = min(4.0 / math.sqrt(mom[1]), radius)
+    t0 = 0.25 * t1
+    cut = 2.0 * t1
+    series = [coef[j] * t0 ** (2 * j - p) / (2 * j - p) for j in range(m + 1, top + 1)]
+    truncation = mgf(t1) * 0.25 ** (2 * top + 2) / (1.0 - 1.0 / 16.0) * t0**-p / (2 * top + 2 - p)
+    closed_tail = [coef[j] * cut ** (2 * j - p) / (p - 2 * j) for j in range(m + 1)]
+
+    # phi_S and P_m come to within about n + m ulps of their size
+    rounding = _UNIT_ROUNDOFF * (
+        (n + m + 2) * sum(abs(coef[j]) * _power_integral(2 * j, p, t0, cut) for j in range(m + 1))
+        + (n + 2) * _power_integral(0, p, t0, cut)
+        + top * (sum(map(abs, series)) + sum(map(abs, closed_tail)))
+    )
+    # sin(p pi/2) = (-1)^k sin(r pi/2) for p = 2k + r: the exact remainder r
+    # keeps its relative accuracy near even p, where the sine vanishes
+    r = math.remainder(p, 2.0)
+    sine = math.sin(0.5 * math.pi * r) * (-1.0 if round((p - r) / 2.0) % 2 else 1.0)
+    c_p = -(2.0 / math.pi) * sine * math.gamma(p + 1.0)
+    # the integral is E|S|^p / |c_p| <= (E S^{2m+2})^{p/(2m+2)} / |c_p|
+    # (Lyapunov), so the rounding alone bounds eps from below
+    floor = rounding * abs(c_p) / mom[m + 1] ** (p / (2 * m + 2)) + 16 * _UNIT_ROUNDOFF
+    if floor > CHAR_FUNCTION_TOLERANCE:
+        raise EngineCapacityError(
+            f"charFunction's error bound is at least {floor:.3g}, above {CHAR_FUNCTION_TOLERANCE:g} "
+            f"at p={p!r}: the Taylor subtraction cancels"
+        )
+
+    def remainder(t: float) -> float:
+        s = t * t
+        poly = coef[m]
+        for j in range(m - 1, -1, -1):
+            poly = poly * s + coef[j]
+        return (phi(t) - poly) * t ** (-p - 1.0)
+
+    body, abserr = integrate_adaptive(remainder, t0, cut, epsrel=1e-12)
+    total = sum(series) + body - sum(closed_tail)
+
+    def phi_part(t: float) -> float:
+        return phi(t) * t ** (-p - 1.0)
+
+    t_hi = cut
+    while (phi_tail := envelope(t_hi) * t_hi**-p / p) > _NEGLIGIBLE * abs(total):
+        if t_hi >= _LAST_BLOCK:
+            raise QuadratureError("charFunction's phi-tail did not close below 2^60")
+        piece, err = integrate_adaptive(
+            phi_part, t_hi, 2.0 * t_hi, epsrel=1e-12, epsabs=_NEGLIGIBLE * abs(total)
+        )
+        total += piece
+        abserr += err
+        t_hi *= 2.0
+    eps = (abserr + truncation + rounding + phi_tail) / abs(total) + 16 * _UNIT_ROUNDOFF
+    if not eps <= CHAR_FUNCTION_TOLERANCE:
+        raise EngineCapacityError(
+            f"charFunction's error bound {eps:.3g} exceeds {CHAR_FUNCTION_TOLERANCE:g} at p={p!r}: "
+            "the Taylor subtraction cancels"
+        )
+    return c_p * total, eps
+
+
 def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
     """E|S|^p for p > 0 not an even integer, by the Taylor-subtracted
     characteristic-function formula (von Bahr at m = 0, Haagerup at m = 1):
@@ -816,74 +870,14 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
             f"and weibullTail alpha = 2 only, got {d.kind} alpha={d.alpha!r}"
         )
     a = _canonical(v)
-    n = len(a)
-    if n == 0:
+    if len(a) == 0:
         return MomentEstimate.from_raw(p, 0.0, "charFunction", Rigor.tolerance(_UNIT_ROUNDOFF))
-    m = int(p) // 2
-    top = m + _SERIES_TERMS
     try:
-        e, mom = _even_levels(a, d, top)
-        phi, envelope, mgf, radius = _char_functions(law, d.scale, np.ldexp(a, -e))
-        coef = [(-1) ** j * mom[j] / math.factorial(2 * j) for j in range(top + 1)]
-        t1 = min(4.0 / math.sqrt(mom[1]), radius)
-        t0 = 0.25 * t1
-        cut = 2.0 * t1
-        series = [coef[j] * t0 ** (2 * j - p) / (2 * j - p) for j in range(m + 1, top + 1)]
-        truncation = mgf(t1) * 0.25 ** (2 * top + 2) / (1.0 - 1.0 / 16.0) * t0**-p / (2 * top + 2 - p)
-        closed_tail = [coef[j] * cut ** (2 * j - p) / (p - 2 * j) for j in range(m + 1)]
-
-        # phi_S and P_m come to within about n + m ulps of their size
-        rounding = _UNIT_ROUNDOFF * (
-            (n + m + 2) * sum(abs(coef[j]) * _power_integral(2 * j, p, t0, cut) for j in range(m + 1))
-            + (n + 2) * _power_integral(0, p, t0, cut)
-            + top * (sum(map(abs, series)) + sum(map(abs, closed_tail)))
-        )
-        # sin(p pi/2) = (-1)^k sin(r pi/2) for p = 2k + r: the exact remainder r
-        # keeps its relative accuracy near even p, where the sine vanishes
-        r = math.remainder(p, 2.0)
-        sine = math.sin(0.5 * math.pi * r) * (-1.0 if round((p - r) / 2.0) % 2 else 1.0)
-        c_p = -(2.0 / math.pi) * sine * math.gamma(p + 1.0)
-        # the integral is E|S|^p / |c_p| <= (E S^{2m+2})^{p/(2m+2)} / |c_p|
-        # (Lyapunov), so the rounding alone bounds eps from below
-        floor = rounding * abs(c_p) / mom[m + 1] ** (p / (2 * m + 2)) + 16 * _UNIT_ROUNDOFF
-        if floor > CHAR_FUNCTION_TOLERANCE:
-            raise EngineCapacityError(
-                f"charFunction's error bound is at least {floor:.3g}, above {CHAR_FUNCTION_TOLERANCE:g} "
-                f"at p={p!r}: the Taylor subtraction cancels"
-            )
-
-        def remainder(t: float) -> float:
-            s = t * t
-            poly = coef[m]
-            for j in range(m - 1, -1, -1):
-                poly = poly * s + coef[j]
-            return (phi(t) - poly) * t ** (-p - 1.0)
-
-        body, abserr = integrate_adaptive(remainder, t0, cut, epsrel=1e-12)
-        total = sum(series) + body - sum(closed_tail)
-
-        def phi_part(t: float) -> float:
-            return phi(t) * t ** (-p - 1.0)
-
-        t_hi = cut
-        while (phi_tail := envelope(t_hi) * t_hi**-p / p) > _NEGLIGIBLE * abs(total):
-            if t_hi >= _LAST_BLOCK:
-                raise QuadratureError("charFunction's phi-tail did not close below 2^60")
-            piece, err = integrate_adaptive(
-                phi_part, t_hi, 2.0 * t_hi, epsrel=1e-12, epsabs=_NEGLIGIBLE * abs(total)
-            )
-            total += piece
-            abserr += err
-            t_hi *= 2.0
-        eps = (abserr + truncation + rounding + phi_tail) / abs(total) + 16 * _UNIT_ROUNDOFF
-        raw = c_p * total * 2.0 ** (e * p)
+        e, mom = _even_levels(a, d, int(p) // 2 + _SERIES_TERMS)
+        value, eps = _char_function_integral(law, d.scale, np.ldexp(a, -e), mom, p)
+        raw = value * 2.0 ** (e * p)
     except OverflowError as exc:
         raise EngineCapacityError(f"charFunction overflows the float range: {exc}") from None
-    if not eps <= CHAR_FUNCTION_TOLERANCE:
-        raise EngineCapacityError(
-            f"charFunction's error bound {eps:.3g} exceeds {CHAR_FUNCTION_TOLERANCE:g} at p={p!r}: "
-            "the Taylor subtraction cancels"
-        )
     if not sys.float_info.min <= raw < math.inf:
         raise EngineCapacityError(f"charFunction's moment {raw!r} is not a positive normal float")
     return MomentEstimate.from_raw(p, raw, "charFunction", Rigor.tolerance(eps))

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import bounds, coeffs, dists, summoments
 from .coeffs import CoefficientVector
@@ -178,14 +179,18 @@ def reference_estimate(
     Walks ``prefer`` (default: summoments.LADDERS of the engine law of d)
     and moves past an engine that refuses the input.  Default ladders:
     Rademacher even moments -> enumeration -> Monte Carlo; two-sided
-    exponential, Weibull alpha = 1 included, partial fractions -> recursion
-    -> Monte Carlo; Gaussian closed form; other Weibull tails even moments
-    -> characteristic function (alpha = 2 only) -> Monte Carlo.  A ladder
-    that reaches Monte Carlo without a seed raises JobValidationError on
-    ``seed``: there is no default seed, not even on a fallback.
+    exponential, Weibull alpha = 1 included, partial fractions ->
+    characteristic function -> recursion (even p, and fractional p where the
+    characteristic function cancels or is capped) -> Monte Carlo; Gaussian
+    closed form; other Weibull tails even moments -> characteristic function
+    (alpha = 2 only) -> Monte Carlo.  A ladder that reaches Monte Carlo
+    without a seed raises JobValidationError on ``seed``: there is no default
+    seed, not even on a fallback.
     """
     law = summoments.engine_law(d)
-    given = {"v": v, "law": law, "d": d, "p": p, "samples": samples, "seed": seed}
+    # Weibull alpha = 1 is the two-sided exponential, to the bit on every engine
+    spec = d if law == d.kind else dists.sym_exponential()
+    given = {"v": v, "law": law, "d": spec, "p": p, "samples": samples, "seed": seed}
     last_error: Exception | None = None
     for method in summoments.LADDERS[law] if prefer is None else prefer:
         engine = summoments.ENGINES.get(method)
@@ -252,15 +257,13 @@ def _cos_product_margins(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return lhs - rhs
 
 
-def check_cos_product(
-    v: CoefficientVector, t_grid: Iterable[float], seed: int = 0
-) -> VerificationReport:
+def check_cos_product(v: CoefficientVector, t_grid: ArrayLike, seed: int = 0) -> VerificationReport:
     """prod cos(a_i t) + a_1^2 t^2/2 >= prod_{i>=2} 1/(1 + a_i^2 t^2/2) on a
     grid, absolute slack 1e-12.  Deterministic; the input must be rearranged
     (the hypothesis |a_1| >= ... >= |a_n|)."""
     if not v.is_rearranged():
         raise ValueError("check_cos_product requires a rearranged vector")
-    t = np.asarray(list(t_grid), dtype=float)
+    t = np.asarray(t_grid, dtype=float)
     margins = _cos_product_margins(v.as_array()[None, :], t[None, :])[0]
     violations = int(np.sum(margins < -COS_PRODUCT_SLACK))
     worst = float(np.min(margins)) if len(margins) else math.inf
@@ -503,7 +506,8 @@ def _search_margins(check: str, v: np.ndarray, p: float | None, t: np.ndarray | 
     """Worst margin of each instance of one (n, p) group, exact engines only:
     rows v of rearranged coefficients (a and b for rec2), at the points t
     (cos_product).  Rows that partial fractions refuse take the exponential
-    ladder, which with no seed stops at the recursion (it refuses nothing)."""
+    ladder with no seed, which ends in charFunction or the recursion and
+    does not reach Monte Carlo."""
     if check == "cos_product":
         step = max(1, _WORKING_SET // (t.shape[1] * v.shape[1]))
         return np.concatenate(

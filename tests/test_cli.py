@@ -273,7 +273,7 @@ class TestMomentCommand:
             capsys,
         )
         assert status == cli.EXIT_CAPACITY
-        assert "Monte Carlo" in err or "recursion" in err
+        assert "charFunction" in err
 
     def test_incompatible_engine_rejected(self, capsys):
         status, _, err = invoke(
@@ -302,16 +302,29 @@ class TestEngineRegistry:
 
     def test_weibull_alpha_one_is_the_exponential(self, capsys):
         # same engines, values and bound sources, and no seed needed: only
-        # the job fields differ
+        # the job fields differ.  [1, 1] at p = 20.5 is past charFunction's
+        # cancellation floor, so the recursion answers it
         skip = ("digest", "distribution", "alpha")
-        for command in ("moment", "bounds"):
+        for command, coeffs, p in (("moment", "2,1,1,0.5", "3,4"), ("bounds", "2,1,1,0.5", "3,4"),
+                                   ("moment", "1,1", "20.5")):
             got = []
             for dist in (["symExponential"], ["weibullTail", "--alpha", "1"]):
-                argv = [command, "--coeffs", "2,1,1,0.5", "--p", "3,4", "--dist", *dist]
+                argv = [command, "--coeffs", coeffs, "--p", p, "--dist", *dist]
                 status, out, _ = invoke(argv, capsys)
                 assert status == cli.EXIT_OK
                 got.append([{k: v for k, v in r.items() if k not in skip} for r in records_of(out)])
             assert got[0] == got[1]
+        assert [(r["method"], r["rigor"]) for r in got[0]] == [("recursion", "tolerance")]
+        # pinned engines get the exponential's bits too
+        for engine, p in (("evenMoments", "4"), ("charFunction", "3")):
+            got = []
+            for dist in (["symExponential"], ["weibullTail", "--alpha", "1"]):
+                argv = ["moment", "--coeffs", "2,1,1,0.5", "--p", p, "--dist", *dist, "--engine", engine]
+                status, out, _ = invoke(argv, capsys)
+                assert status == cli.EXIT_OK
+                (rec,) = records_of(out)
+                got.append((rec["method"], rec["raw_moment"], rec["rigor"]))
+            assert got[0] == got[1] and got[0][0] == engine
 
     @pytest.mark.parametrize(
         "dist, sources",

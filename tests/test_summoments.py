@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,12 @@ from scipy import integrate, special
 
 import oracles
 from momentbounds import dists, summoments
+from momentbounds.verify import reference_estimate
 from momentbounds.coeffs import CoefficientVector
 from momentbounds.errors import (
     DegenerateCoefficientsError,
     EngineCapacityError,
+    QuadratureError,
     ResidueCancellationError,
 )
 from momentbounds.summoments import (
@@ -306,6 +309,57 @@ class TestRecursionEngine:
     def test_single_term_matches_closed_form(self):
         est = laplace_sum_moment_recursion(CV([1]), 2.5)
         assert est.raw_moment == pytest.approx(dists.exponential_abs_moment(2.5), rel=1e-10)
+
+    @pytest.mark.parametrize("p", [20.5, 31.0])
+    def test_past_the_char_function_floor(self, p):
+        # E|E1 + E2|^p = 2^{-p/2} Gamma(p+1) (p+2)/2, where charFunction cancels
+        with pytest.raises(EngineCapacityError, match="cancels"):
+            char_function_moment(CV([1, 1]), dists.sym_exponential(), p)
+        est = laplace_sum_moment_recursion(CV([1, 1]), p)
+        with mpmath.workdps(30):
+            want = mpmath.mpf(2) ** (-p / 2) * mpmath.gamma(p + 1) * (p + 2) / 2
+        assert est.rigor.kind == "tolerance" and est.rigor.epsilon < 1e-12
+        assert abs(est.raw_moment / want - 1) <= est.rigor.epsilon
+
+    def test_base_levels_are_char_function_integrals(self, monkeypatch):
+        # one charFunction integral per suffix, shortest first, each on its
+        # own scaled coefficients; its error bound carries over and its
+        # refusals are the recursion's, so a ladder moves past them
+        calls = []
+        real = summoments._char_function_integral
+
+        def spy(law, b, y, mom, q):
+            value, err = real(law, b, y, mom, q)
+            calls.append((list(y), q, err))
+            return value, err
+
+        monkeypatch.setattr(summoments, "_char_function_integral", spy)
+        est = laplace_sum_moment_recursion(CV([1, 1, 0.5]), 7.5)
+        assert [(y, q) for y, q, _ in calls] == [([0.5], 1.5), ([0.5, 0.25], 1.5), ([0.5, 0.5, 0.25], 1.5)]
+        assert est.rigor.epsilon >= max(err for _, _, err in calls)
+
+        def diverges(*args, **kwargs):
+            raise QuadratureError("forced")
+
+        monkeypatch.setattr(summoments, "integrate_adaptive", diverges)
+        with pytest.raises(QuadratureError):
+            laplace_sum_moment_recursion(CV([1, 1]), 20.5)
+        assert summoments.ENGINES["recursion"].refusals == summoments.ENGINES["charFunction"].refusals
+
+    def test_no_work_cap_past_char_function(self, monkeypatch):
+        # n 13^2 > EVEN_MOMENT_CAP: charFunction refuses the whole vector at
+        # every p (13 levels and more), the recursion still answers without
+        # a seed; it agrees with charFunction (14 levels at p = 3.5) run
+        # under a raised cap
+        n = EVEN_MOMENT_CAP // 13**2 + 1
+        v = CV([1.0] * (n // 2) + [0.5] * (n - n // 2))
+        with pytest.raises(EngineCapacityError, match="work"):
+            char_function_moment(v, dists.sym_exponential(), 3.5)
+        est = reference_estimate(v, dists.sym_exponential(), 3.5)
+        assert est.method == "recursion" and est.rigor.epsilon < 1e-12
+        monkeypatch.setattr(summoments, "EVEN_MOMENT_CAP", 14**2 * n)
+        want = char_function_moment(v, dists.sym_exponential(), 3.5)
+        assert abs(est.raw_moment / want.raw_moment - 1) <= est.rigor.epsilon + want.rigor.epsilon
 
 
 class TestCharacteristicFunction:

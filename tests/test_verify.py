@@ -350,8 +350,14 @@ class TestReferenceEstimate:
         assert est.method == "evenMoments" and est.raw_moment == 8.0
         est = reference_estimate(CV([2, 1]), dists.sym_exponential(), 3.0)
         assert est.method == "partialFractions"
+        # equal coefficients: PF refuses; the characteristic function takes
+        # them up to its cancellation floor, the recursion beyond, no seed
         est = reference_estimate(CV([1, 1]), dists.sym_exponential(), 3.0)
-        assert est.method == "recursion"  # equal coefficients: PF refuses
+        assert est.method == "charFunction"
+        est = reference_estimate(CV([1, 1]), dists.sym_exponential(), 20.5)
+        assert est.method == "recursion" and est.rigor.kind == "tolerance"
+        est = reference_estimate(CV([1, 1]), dists.sym_exponential(), 4.0)
+        assert est.method == "recursion" and est.rigor.kind == "exact"  # charFunction refuses even p
         est = reference_estimate(CV([1]), dists.gaussian(), 3.0)
         assert est.method == "closedForm"
         est = reference_estimate(CV([1]), dists.weibull_tail(2.0), 3.0)
@@ -363,10 +369,11 @@ class TestReferenceEstimate:
         with pytest.raises(JobValidationError, match="seed"):
             reference_estimate(CV([1]), dists.weibull_tail(1.5), 3.0)
         # Weibull alpha = 1 is the two-sided exponential: its exact ladder, no seed
-        for v, method in (([2, 1], "partialFractions"), ([1, 1], "recursion")):
-            est = reference_estimate(CV(v), dists.weibull_tail(1.0), 3.0)
+        for v, p, method in (([2, 1], 3.0, "partialFractions"), ([1, 1], 3.0, "charFunction"),
+                             ([1, 1], 20.5, "recursion")):
+            est = reference_estimate(CV(v), dists.weibull_tail(1.0), p)
             assert est.method == method
-            assert est == reference_estimate(CV(v), dists.sym_exponential(), 3.0)
+            assert est == reference_estimate(CV(v), dists.sym_exponential(), p)
 
     def test_char_function_quadrature_failure_moves_on(self, monkeypatch):
         def diverges(*args, **kwargs):
