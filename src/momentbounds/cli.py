@@ -135,6 +135,14 @@ def parse_job(document: dict | None, overrides: dict) -> JobSpec:
     return job
 
 
+def _validate_names(field: str, names, allowed):
+    if not isinstance(names, (list, tuple)) or len(names) == 0:
+        _fail(field, "must be a nonempty list of names")
+    for i, x in enumerate(names):
+        if not isinstance(x, str) or x not in allowed:
+            _fail(f"{field}[{i}]", f"must be one of {allowed}, got {x!r}")
+
+
 def _validate(job: JobSpec):
     if job.command not in _COMMANDS:
         _fail("command", f"must be one of {_COMMANDS}, got {job.command!r}")
@@ -158,18 +166,13 @@ def _validate(job: JobSpec):
             if not _is_real(x) or not math.isfinite(x) or x < 1:
                 _fail(f"p[{i}]", f"must be a finite real >= 1, got {x!r}")
     if job.engine is not None:
-        for i, e in enumerate(job.engine):
-            if e not in summoments.ENGINES:
-                _fail(f"engine[{i}]", f"must be one of {tuple(summoments.ENGINES)}, got {e!r}")
+        _validate_names("engine", job.engine, tuple(summoments.ENGINES))
     if not _is_number(job.samples, int) or job.samples < summoments.MC_MIN_SAMPLES:
         _fail("samples", f"must be an integer >= {summoments.MC_MIN_SAMPLES}")
     if job.seed is not None and not _is_number(job.seed, int):
         _fail("seed", "must be an integer")
     if job.checks is not None:
-        allowed = set(verify.SUITE_CHECKS) | set(verify.SEARCH_CHECKS)
-        for i, c in enumerate(job.checks):
-            if c not in allowed:
-                _fail(f"checks[{i}]", f"must be one of {sorted(allowed)}, got {c!r}")
+        _validate_names("checks", job.checks, sorted(set(verify.SUITE_CHECKS) | set(verify.SEARCH_CHECKS)))
     if not _is_number(job.iterations, int) or job.iterations < 1:
         _fail("iterations", "must be an integer >= 1")
     if not _is_number(job.nmax, int) or job.nmax < 1:

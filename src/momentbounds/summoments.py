@@ -12,15 +12,15 @@ Seven routes to E|S|^p / ||S||_p:
                          over suffix sums; exact for even integer p, from
                          charFunction's integrals of order below 2 otherwise
                          (two-sided exponential, any coefficients),
-* ``haagerup``         — the characteristic-function representation
-                         E|S|^p = C_p int (phi - 1 + t^2 E S^2 / 2) t^{-p-1} dt
-                         with C_p = -(2/pi) sin(p pi/2) Gamma(p+1), 2 < p < 4,
-* ``charFunction``     — the same integral for every p > 0 that is not an
-                         even integer, with phi_S minus its Taylor polynomial
-                         of degree 2 floor(p/2), whose coefficients come from
-                         the even-moment dynamic program (two-sided
-                         exponential and Weibull alpha = 2, whose phi_S are
-                         closed forms),
+* ``charFunction``     — E|S|^p = C_p int (phi_S - P_m) t^{-p-1} dt with
+                         C_p = -(2/pi) sin(p pi/2) Gamma(p+1) and P_m the
+                         Taylor polynomial of phi_S of degree 2 floor(p/2)
+                         from the even-moment program, for every p > 0 that
+                         is not an even integer (two-sided exponential and
+                         Weibull alpha = 2, whose phi_S are closed forms),
+* ``haagerup``         — the same integral at m = 1, 2 < p < 4 (Haagerup
+                         1981), for Rademacher and two-sided exponential
+                         sums, with a derived error of at most 1e-6,
 * ``monteCarlo``       — seeded sample mean with a 3-sigma confidence interval.
 
 Plus the 2-stable closed form gamma_p ||a||_2 for Gaussian sums.
@@ -32,7 +32,6 @@ bitwise invariant under permutation and sign flips of the input.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ from .errors import (
     QuadratureError,
     ResidueCancellationError,
 )
-from .quadrature import integrate_adaptive
+from .quadrature import DEFAULT_SUBDIVISION_CAP, integrate_adaptive
 
 __all__ = [
     "EVEN_MOMENT_CAP",
@@ -108,6 +107,8 @@ class Engine:
 
 
 _SIGNS = frozenset({dists.RADEMACHER})
+# the refusals of the engines that run _char_function_integral
+_INTEGRAL_REFUSALS = (EngineCapacityError, QuadratureError)
 _EXPONENTIAL = frozenset({dists.SYM_EXPONENTIAL})
 ENGINES = {
     "evenMoments": Engine(
@@ -117,14 +118,10 @@ ENGINES = {
     "partialFractions": Engine(
         "laplace_sum_moment_exact", _EXPONENTIAL, True, (DegenerateCoefficientsError, ResidueCancellationError)
     ),
-    "recursion": Engine("laplace_sum_moment_recursion", _EXPONENTIAL, True, (EngineCapacityError, QuadratureError)),
-    "haagerup": Engine("haagerup_moment", _SIGNS | _EXPONENTIAL, False, args=("v", "law", "p")),
+    "recursion": Engine("laplace_sum_moment_recursion", _EXPONENTIAL, True, _INTEGRAL_REFUSALS),
+    "haagerup": Engine("haagerup_moment", _SIGNS | _EXPONENTIAL, False, _INTEGRAL_REFUSALS, args=("v", "law", "p")),
     "charFunction": Engine(
-        "char_function_moment",
-        _EXPONENTIAL | {dists.WEIBULL_TAIL},
-        False,
-        (EngineCapacityError, QuadratureError),
-        args=("v", "d", "p"),
+        "char_function_moment", _EXPONENTIAL | {dists.WEIBULL_TAIL}, False, _INTEGRAL_REFUSALS, args=("v", "d", "p")
     ),
     "monteCarlo": Engine(
         "monte_carlo_sum_moment", frozenset(dists.KINDS), False, args=("v", "d", "p", "samples", "seed")
@@ -551,170 +548,19 @@ def laplace_sum_moment_recursion(v: CoefficientVector, p: float) -> MomentEstima
     return MomentEstimate.from_raw(p, level[0], "recursion", rigor)
 
 
-# --- Haagerup representation, 2 < p < 4 ---------------------------------------
-
-
-def _x_minus_log1p(x: float) -> float:
-    # x - log1p(x) without cancellation for small x
-    if x < 1e-3:
-        return x * x * (0.5 + x * (-1.0 / 3.0 + x * (0.25 - 0.2 * x)))
-    return x - math.log1p(x)
-
-
-def _expm1_minus_x(x: float) -> float:
-    # expm1(x) - x without cancellation for small |x|
-    if abs(x) < 1e-3:
-        return x * x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
-    return math.expm1(x) - x
-
-
-def _half_sq_plus_logcos(z: float) -> float:
-    # z^2/2 + ln cos z, accurate for |z| < pi/2 (series below 1e-2)
-    if z < 1e-2:
-        z2 = z * z
-        return -(z2 * z2) * (1.0 / 12.0 + z2 * (1.0 / 45.0 + z2 * (17.0 / 2520.0)))
-    s = math.sin(0.5 * z)
-    return 0.5 * z * z + math.log1p(-2.0 * s * s)
-
-
-def haagerup_moment(v: CoefficientVector, kind: str, p: float) -> MomentEstimate:
-    """E|S|^p = C_p int_0^inf (phi_S(t) - 1 + t^2 E S^2/2) t^{-p-1} dt for
-    2 < p < 4 strictly (C_p changes sign at the endpoints).
-
-    Numerics (coefficients normalized to max |a_i| = 1, result rescaled):
-
-    * below t = 1e-4 the integrand is replaced by its analytic expansion
-      (K4 t^4 + K6 t^6) t^{-p-1}, integrated in closed form;
-    * on [1e-4, 1] and doubling blocks [T, 2T] the compensated form
-      g = sum(per-coefficient compensated terms) + (expm1(L) - L) is used,
-      which survives the phi ~ 1 - sigma^2 t^2/2 cancellation;
-    * the (-1 + sigma^2 t^2/2) part of the tail is added in closed form,
-      sigma^2 T^{2-p}/(2(p-2)) - T^{-p}/p, and blocks stop once the bound on
-      the remaining phi-tail drops below 1e-8 of the accumulated integral.
-      Each block's phi part asks for absolute error 1e-8 of the accumulated
-      integral (1e-10 on a retry), which never exceeds the total (the
-      integrand is nonnegative as cos x >= 1 - x^2/2), so at most 25 blocks
-      add at most 2.5e-7 of it.
-
-    Rigor: tolerance(1e-6 relative).
-    """
-    if not 2.0 < p < 4.0:
-        raise ValueError(f"the Haagerup representation requires 2 < p < 4, got {p!r}")
-    if kind not in ENGINES["haagerup"].laws:
-        raise ValueError(f"haagerup_moment supports rademacher/symExponential, got {kind!r}")
-    a = _canonical(v)
-    if len(a) == 0:
-        return MomentEstimate(p, 0.0, 0.0, "haagerup", Rigor.tolerance(1e-6))
-    amax = float(a[0])
-    ah = a / amax
-    sig2 = float(np.sum(ah * ah))
-    s4 = float(np.sum(ah**4))
-    s6 = float(np.sum(ah**6))
-    rad = kind == dists.RADEMACHER
-    if rad:
-        k4 = sig2 * sig2 / 8.0 - s4 / 12.0
-        k6 = -s6 / 45.0 + sig2 * s4 / 24.0 - sig2**3 / 48.0
-    else:
-        k4 = sig2 * sig2 / 8.0 + s4 / 8.0
-        k6 = -s6 / 24.0 - sig2 * s4 / 16.0 - sig2**3 / 48.0
-
-    def g(t: float) -> float:
-        tt = 0.5 * t * t
-        if rad:
-            if t < 0.5 * math.pi:
-                c0 = 0.0
-                ell = 0.0
-                for z in ah * t:
-                    y = _half_sq_plus_logcos(float(z))
-                    c0 += y
-                    ell += y - 0.5 * z * z
-                return c0 + _expm1_minus_x(ell)
-            prod = 1.0
-            for z in ah * t:
-                prod *= math.cos(float(z))
-            return prod - 1.0 + sig2 * tt
-        c0 = 0.0
-        ell = 0.0
-        for s in ah * ah:
-            x = float(s) * tt
-            c0 += _x_minus_log1p(x)
-            ell -= math.log1p(x)
-        return c0 + _expm1_minus_x(ell)
-
-    def integrand(t: float) -> float:
-        return g(t) * t ** (-p - 1.0)
-
-    def phi_integrand(t: float) -> float:
-        if rad:
-            prod = 1.0
-            for z in ah * t:
-                prod *= math.cos(float(z))
-        else:
-            expo = 0.0
-            for s in ah * ah:
-                expo += math.log1p(float(s) * 0.5 * t * t)
-            prod = math.exp(-expo)
-        return prod * t ** (-p - 1.0)
-
-    def phi_tail_bound(t: float) -> float:
-        if rad:
-            tail_sum = float(np.sum(ah[1:])) if len(ah) > 1 else 0.0
-            return min(t ** (-p) / p, 2.0 * t ** (-p - 1.0) + tail_sum * t ** (-p) / p)
-        log_phi = -float(np.sum(np.log1p(ah * ah * 0.5 * t * t)))
-        return math.exp(log_phi) * t ** (-p) / p
-
-    def poly_piece(t1: float, t2: float) -> float:
-        # int_{t1}^{t2} (sigma^2 t^2/2 - 1) t^{-p-1} dt in closed form
-        return sig2 * (t1 ** (2.0 - p) - t2 ** (2.0 - p)) / (2.0 * (p - 2.0)) - (
-            t1 ** (-p) - t2 ** (-p)
-        ) / p
-
-    # analytic expansion below t0, compensated full integrand up to t = 2
-    t0 = 1e-4
-    acc = k4 * t0 ** (4.0 - p) / (4.0 - p) + k6 * t0 ** (6.0 - p) / (6.0 - p)
-    acc += integrate_adaptive(integrand, t0, 1.0, epsrel=1e-9)[0]
-    acc += integrate_adaptive(integrand, 1.0, 2.0, epsrel=1e-9)[0]
-    # beyond t = 2 the polynomial part of each doubling block goes in closed
-    # form and only the (small, possibly oscillatory) phi part is quadrated;
-    # blocks stop once the phi-tail bound is negligible and the remaining
-    # polynomial tail closes in closed form
-    t_hi = 2.0
-    while True:
-        closed_tail = sig2 * t_hi ** (2.0 - p) / (2.0 * (p - 2.0)) - t_hi ** (-p) / p
-        if phi_tail_bound(t_hi) <= 1e-8 * abs(acc + closed_tail):
-            total = acc + closed_tail
-            break
-        if t_hi > 2.0**26:
-            raise QuadratureError(
-                "Haagerup phi-tail did not close below 2^26; "
-                "p is too close to 2 for this coefficient vector"
-            )
-        cap = max(200, int(t_hi) + 100) if rad else 200
-        block = functools.partial(integrate_adaptive, phi_integrand, t_hi, 2.0 * t_hi, epsrel=1e-8, limit=cap)
-        try:
-            piece = block(epsabs=1e-8 * abs(acc))[0]
-        except QuadratureError:
-            # QAGS's extrapolation gives up on the oscillating Rademacher
-            # tail at some tolerances and not at others; a tighter request
-            # subdivides further
-            piece = block(epsabs=1e-10 * abs(acc))[0]
-        acc += poly_piece(t_hi, 2.0 * t_hi) + piece
-        t_hi *= 2.0
-    c_p = -(2.0 / math.pi) * math.sin(0.5 * p * math.pi) * math.exp(log_gamma(p + 1.0))
-    raw = amax**p * c_p * total
-    return MomentEstimate.from_raw(p, raw, "haagerup", Rigor.tolerance(1e-6))
-
-
 # --- characteristic-function integral, p not an even integer -----------------
 
 # the largest relative error charFunction may report; it refuses past it
 CHAR_FUNCTION_TOLERANCE = 1e-10
 # Taylor terms of phi_S beyond the subtracted ones, integrated below t0
 _SERIES_TERMS = 13
-# the phi-tail bound at which the doubling blocks stop, relative to the integral
-_NEGLIGIBLE = 1e-15
 _LAST_BLOCK = 2.0**60
 _UNIT_ROUNDOFF = 2.0**-53
+# (tail cut, largest eps reported) of charFunction and of haagerup: the
+# doubling blocks stop once the phi-tail bound is below the cut times the
+# integral, and haagerup's product of cosines closes as T^{-p} only
+_CHAR_FUNCTION_LIMITS = (1e-15, CHAR_FUNCTION_TOLERANCE)
+_HAAGERUP_LIMITS = (1e-8, 1e-6)
 
 
 def _char_functions(law: str, b: float, y: np.ndarray):
@@ -722,11 +568,25 @@ def _char_functions(law: str, b: float, y: np.ndarray):
     E cosh(t S), and the largest t at which the series bound may take
     E cosh(t S).
 
-    The two-sided exponential has phi_X(u) = 1/(1 + u^2/2), which decreases,
-    and E cosh(u X) = 1/(1 - u^2/2) <= 2 for u <= 1.  Weibull alpha = 2 with
-    scale b has phi_X(u) = 1 - 2x D(x), x = b u/2, with Dawson's function D;
+    Rademacher signs have phi_X(u) = cos u, bounded by 1, and
+    E cosh(u X) = cosh u is entire.  The two-sided exponential has
+    phi_X(u) = 1/(1 + u^2/2), which decreases, and E cosh(u X) =
+    1/(1 - u^2/2) <= 2 for u <= 1.  Weibull alpha = 2 with scale b has
+    phi_X(u) = 1 - 2x D(x), x = b u/2, with Dawson's function D;
     |1 - 2x D(x)| <= min(1, 1/x^2), and E cosh(u X) = 1 + sqrt(pi) x e^{x^2}
     erf(x) is entire."""
+    if law == dists.RADEMACHER:
+        # a plain loop: the tail blocks take thousands of evaluations, and
+        # numpy's per-call overhead dominates at this n
+        ys = [float(x) for x in y]
+
+        def phi(t: float) -> float:
+            prod = 1.0
+            for x in ys:
+                prod *= math.cos(x * t)
+            return prod
+
+        return phi, lambda t: 1.0, lambda t: float(np.prod(np.cosh(y * t))), math.inf
     if law == dists.SYM_EXPONENTIAL:
         h = 0.5 * y * y
 
@@ -758,10 +618,14 @@ def _power_integral(k: int, p: float, lo: float, hi: float) -> float:
     return (hi ** (k - p) - lo ** (k - p)) / (k - p)
 
 
-def _char_function_integral(law: str, b: float, y: np.ndarray, mom: list[float], p: float) -> tuple[float, float]:
+def _char_function_integral(
+    law: str, b: float, y: np.ndarray, mom: list[float], p: float, limits=_CHAR_FUNCTION_LIMITS
+) -> tuple[float, float]:
     """E|S|^p and its relative error bound for S = sum y_i X_i, max |y_i| in
     [1/2, 1), with levels mom[j] = E S^{2j}, j <= p/2 + 13: the numerics and
-    refusals of char_function_moment, past the float range OverflowError."""
+    refusals of char_function_moment, with its (tail, tolerance) limits;
+    past the float range OverflowError."""
+    tail, tolerance = limits
     n = len(y)
     m = int(p) // 2
     top = m + _SERIES_TERMS
@@ -788,10 +652,10 @@ def _char_function_integral(law: str, b: float, y: np.ndarray, mom: list[float],
     # the integral is E|S|^p / |c_p| <= (E S^{2m+2})^{p/(2m+2)} / |c_p|
     # (Lyapunov), so the rounding alone bounds eps from below
     floor = rounding * abs(c_p) / mom[m + 1] ** (p / (2 * m + 2)) + 16 * _UNIT_ROUNDOFF
-    if floor > CHAR_FUNCTION_TOLERANCE:
+    if floor > tolerance:
         raise EngineCapacityError(
-            f"charFunction's error bound is at least {floor:.3g}, above {CHAR_FUNCTION_TOLERANCE:g} "
-            f"at p={p!r}: the Taylor subtraction cancels"
+            f"the characteristic-function integral's error bound is at least {floor:.3g}, "
+            f"above {tolerance:g} at p={p!r}: the Taylor subtraction cancels"
         )
 
     def remainder(t: float) -> float:
@@ -807,23 +671,51 @@ def _char_function_integral(law: str, b: float, y: np.ndarray, mom: list[float],
     def phi_part(t: float) -> float:
         return phi(t) * t ** (-p - 1.0)
 
+    def block(lo: float, epsabs: float) -> tuple[float, float]:
+        # an oscillating phi_S needs subintervals in proportion to the length
+        cap = max(DEFAULT_SUBDIVISION_CAP, int(lo) + 100)
+        return integrate_adaptive(phi_part, lo, 2.0 * lo, epsrel=1e-12, epsabs=epsabs, limit=cap)
+
     t_hi = cut
-    while (phi_tail := envelope(t_hi) * t_hi**-p / p) > _NEGLIGIBLE * abs(total):
+    while (phi_tail := envelope(t_hi) * t_hi**-p / p) > tail * abs(total):
         if t_hi >= _LAST_BLOCK:
-            raise QuadratureError("charFunction's phi-tail did not close below 2^60")
-        piece, err = integrate_adaptive(
-            phi_part, t_hi, 2.0 * t_hi, epsrel=1e-12, epsabs=_NEGLIGIBLE * abs(total)
-        )
+            raise QuadratureError("the characteristic function's tail did not close below 2^60")
+        try:
+            piece, err = block(t_hi, tail * abs(total))
+        except QuadratureError:
+            # QAGS's extrapolation gives up on an oscillating tail at some
+            # tolerances and not at others; a tighter request subdivides further
+            piece, err = block(t_hi, 0.01 * tail * abs(total))
         total += piece
         abserr += err
         t_hi *= 2.0
     eps = (abserr + truncation + rounding + phi_tail) / abs(total) + 16 * _UNIT_ROUNDOFF
-    if not eps <= CHAR_FUNCTION_TOLERANCE:
+    if not eps <= tolerance:
         raise EngineCapacityError(
-            f"charFunction's error bound {eps:.3g} exceeds {CHAR_FUNCTION_TOLERANCE:g} at p={p!r}: "
-            "the Taylor subtraction cancels"
+            f"the characteristic-function integral's error bound {eps:.3g} exceeds {tolerance:g} "
+            f"at p={p!r}: the Taylor subtraction cancels"
         )
     return c_p * total, eps
+
+
+def _char_function_estimate(
+    v: CoefficientVector, d: DistributionSpec, p: float, method: str, limits=_CHAR_FUNCTION_LIMITS
+) -> MomentEstimate:
+    """The path of char_function_moment and haagerup_moment: the integral of
+    _char_function_integral on the coefficients that _even_levels scales by
+    2^{-e}, its raw moment scaled back by 2^{e p}."""
+    a = _canonical(v)
+    if len(a) == 0:
+        return MomentEstimate.from_raw(p, 0.0, method, Rigor.tolerance(_UNIT_ROUNDOFF))
+    try:
+        e, mom = _even_levels(a, d, int(p) // 2 + _SERIES_TERMS)
+        value, eps = _char_function_integral(engine_law(d), d.scale, np.ldexp(a, -e), mom, p, limits)
+        raw = value * 2.0 ** (e * p)
+    except OverflowError as exc:
+        raise EngineCapacityError(f"{method} overflows the float range: {exc}") from None
+    if not sys.float_info.min <= raw < math.inf:
+        raise EngineCapacityError(f"{method}'s moment {raw!r} is not a positive normal float")
+    return MomentEstimate.from_raw(p, raw, method, Rigor.tolerance(eps))
 
 
 def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
@@ -848,7 +740,8 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
     * past 2 t1 the polynomial P_m goes in closed form, and QUADPACK
       integrates phi_S t^{-p-1} on doubling blocks [T, 2T] until the bound
       sup_{t>=T} |phi_S(t)| T^{-p}/p on the rest is below 1e-15 of the
-      integral.
+      integral.  A block that QUADPACK does not converge is retried once
+      at 1/100 of its absolute tolerance.
 
     Rigor: tolerance(eps), where eps is the sum of QUADPACK's error
     estimates, the series truncation bound, the phi-tail bound and a bound
@@ -857,7 +750,8 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
     (EngineCapacityError) an even integer p, a law without a closed-form
     phi_S, eps above CHAR_FUNCTION_TOLERANCE (at large p the pieces cancel),
     work of _even_levels above EVEN_MOMENT_CAP, and a moment out of the
-    normal float range; QuadratureError when a quadrature does not converge.
+    normal float range; QuadratureError when a quadrature does not converge
+    (after the retry, on a block).
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
@@ -869,18 +763,21 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
             "charFunction has a closed-form characteristic function for symExponential "
             f"and weibullTail alpha = 2 only, got {d.kind} alpha={d.alpha!r}"
         )
-    a = _canonical(v)
-    if len(a) == 0:
-        return MomentEstimate.from_raw(p, 0.0, "charFunction", Rigor.tolerance(_UNIT_ROUNDOFF))
-    try:
-        e, mom = _even_levels(a, d, int(p) // 2 + _SERIES_TERMS)
-        value, eps = _char_function_integral(law, d.scale, np.ldexp(a, -e), mom, p)
-        raw = value * 2.0 ** (e * p)
-    except OverflowError as exc:
-        raise EngineCapacityError(f"charFunction overflows the float range: {exc}") from None
-    if not sys.float_info.min <= raw < math.inf:
-        raise EngineCapacityError(f"charFunction's moment {raw!r} is not a positive normal float")
-    return MomentEstimate.from_raw(p, raw, "charFunction", Rigor.tolerance(eps))
+    return _char_function_estimate(v, d, p, "charFunction")
+
+
+def haagerup_moment(v: CoefficientVector, kind: str, p: float) -> MomentEstimate:
+    """E|S|^p = C_p int_0^inf (phi_S(t) - 1 + t^2 E S^2/2) t^{-p-1} dt for
+    2 < p < 4 strictly (Haagerup's representation): char_function_moment at
+    m = 1 for Rademacher and two-sided exponential sums, with the doubling
+    blocks stopping at 1e-8 of the integral (a product of cosines does not
+    decay) and eps refused above 1e-6."""
+    if not 2.0 < p < 4.0:
+        raise ValueError(f"the Haagerup representation requires 2 < p < 4, got {p!r}")
+    if kind not in ENGINES["haagerup"].laws:
+        raise ValueError(f"haagerup_moment supports rademacher/symExponential, got {kind!r}")
+    d = dists.rademacher() if kind == dists.RADEMACHER else dists.sym_exponential()
+    return _char_function_estimate(v, d, p, "haagerup", _HAAGERUP_LIMITS)
 
 
 # --- Monte Carlo ---------------------------------------------------------------

@@ -4,8 +4,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from momentbounds import cli, summoments
+from momentbounds import cli, summoments, verify
 from momentbounds.errors import JobValidationError, QuadratureError
 from momentbounds.summoments import MomentEstimate, Rigor
 
@@ -63,6 +64,64 @@ class TestValidation:
                  "p": [3.0], "seed": 1},
                 {},
             )
+
+
+# any JSON value, NaN and the infinities included (json.loads accepts them)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_NAMES = st.sampled_from(
+    [*summoments.ENGINES, *verify.SUITE_CHECKS, *verify.SEARCH_CHECKS, *cli._COMMANDS, "x"]
+)
+# each field gets a value of its own shape or arbitrary JSON, so the draws
+# reach every validation step, not only the first one that fails
+_FIELD_VALUES = {
+    "command": st.sampled_from(cli._COMMANDS),
+    "coefficients": st.lists(st.floats(-3, 3), min_size=1, max_size=3),
+    "distribution": st.sampled_from(["rademacher", "symExponential", "gaussian", "weibullTail"]),
+    "alpha": st.floats(1, 3),
+    "p": st.lists(st.floats(1, 8), min_size=1, max_size=3),
+    "engine": st.lists(_NAMES, max_size=3),
+    "samples": st.integers(10**4, 10**5),
+    "seed": st.integers(0, 100),
+    "format": st.sampled_from(["json", "csv"]),
+    "checks": st.lists(_NAMES, max_size=3),
+    "iterations": st.integers(1, 10),
+    "nmax": st.integers(1, 30),
+    "gk_band": st.lists(st.floats(0, 10), min_size=2, max_size=2),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fixed_dictionaries({}, optional={k: v | _JSON for k, v in _FIELD_VALUES.items()}))
+def test_parse_job_returns_a_job_or_a_field_error(doc):
+    assert set(_FIELD_VALUES) == cli._JOB_FIELDS
+    try:
+        job = cli.parse_job(doc, {})
+    except JobValidationError:
+        return
+    assert isinstance(job, cli.JobSpec)
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("engine", 5, "engine"),
+        ("engine", [["x"]], "engine[0]"),
+        ("engine", "haagerup", "engine"),
+        ("engine", [], "engine"),
+        ("checks", 5, "checks"),
+        ("checks", [["x"]], "checks[0]"),
+        ("checks", [], "checks"),
+    ],
+)
+def test_engine_and_checks_are_nonempty_name_lists(field, value, path):
+    doc = {"command": "verify", "seed": 1, field: value}
+    with pytest.raises(JobValidationError) as caught:
+        cli.parse_job(doc, {})
+    assert caught.value.field == path
 
 
 _BASE_JOB = {"command": "moment", "coefficients": [1.0, 2.0], "distribution": "rademacher",
