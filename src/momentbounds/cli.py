@@ -211,20 +211,11 @@ def _validate(job: JobSpec):
     if stochastic and job.seed is None:
         _fail("seed", "required for stochastic commands (no wall-clock default)")
     if job.command == "search":
-        checks = _search_checks(job)
-        enumerating = [c for c in checks if c in ("comp2", "p24")]
-        if enumerating and job.nmax > summoments.ENUMERATION_CAP:
-            _fail(
-                "nmax",
-                f"must be <= {summoments.ENUMERATION_CAP} for the {' and '.join(enumerating)} search "
-                f"(exact sign enumeration), got {job.nmax}",
-            )
-        p_grid = _search_p_grid(job)
-        for c in checks:
-            lo, hi = verify.SEARCH_P_RANGES.get(c, (-math.inf, math.inf))
-            if not any(lo <= x <= hi for x in p_grid):
-                need = f"p >= {lo:g}" if hi == math.inf else f"{lo:g} <= p <= {hi:g}"
-                _fail("p", f"the {c} search needs an order with {need}, got {list(p_grid)}")
+        for c in _search_checks(job):
+            try:
+                verify.SearchConfig(c, n_max=job.nmax, p_grid=_search_p_grid(job))
+            except JobValidationError as exc:
+                _fail({"n_max": "nmax", "p_grid": "p"}[exc.field], exc.message)
 
 
 def _search_checks(job: JobSpec) -> list[str]:

@@ -37,13 +37,15 @@ class UnboundedSupremumError(MomentBoundsError):
     """The dual-norm supremum is not finite for the supplied Orlicz data."""
 
 
-class JobValidationError(MomentBoundsError):
+class JobValidationError(MomentBoundsError, ValueError):
     """A CLI job document, or a parameter its computation needs, failed
     validation.
 
-    ``field`` holds the path of the offending field (e.g. ``"p[1]"``).
+    ``field`` holds the path of the offending field (e.g. ``"p[1]"``) and
+    ``message`` what is wrong with it.
     """
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")

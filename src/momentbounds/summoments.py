@@ -8,8 +8,8 @@ Seven routes to E|S|^p / ||S||_p:
 * ``partialFractions`` — exact signed Laplace mixture for distinct nonzero
                          coefficients (two-sided exponential),
 * ``recursion``        — the conditional moment recursion
-                         E|S|^p = E|S'|^p + p(p-1)/2 a_1^2 E|S|^{p-2}
-                         over suffix sums; exact for even integer p, from
+                         E|S|^p = E|S'|^p + p(p-1)/2 a_n^2 E|S|^{p-2}
+                         over prefix sums; exact for even integer p, from
                          charFunction's integrals of order below 2 otherwise
                          (two-sided exponential, any coefficients),
 * ``charFunction``     — E|S|^p = C_p int (phi_S - P_m) t^{-p-1} dt with
@@ -25,15 +25,16 @@ Seven routes to E|S|^p / ||S||_p:
 
 Plus the 2-stable closed form gamma_p ||a||_2 for Gaussian sums.
 
-Every engine canonicalizes the coefficients to their nonincreasing positive
-rearrangement (dropping zeros where the sum is unaffected), so outputs are
-bitwise invariant under permutation and sign flips of the input.
+One scale rule: every engine computes only on the unit-scale vector of
+_canonical, the nonincreasing |a_i| divided by the power of two 2^e that
+puts the largest in [1/2, 1), and MomentEstimate.scaled returns
+||S||_p = 2^e ||S / 2^e||_p.  Outputs are bitwise invariant under
+permutation, sign flips and power-of-two scaling of the input.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,10 +185,11 @@ class Rigor:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """A computed value of ||S||_p with its raw moment, method and rigor."""
+    """A computed value of ||S||_p with its raw moment E|S|^p (None outside
+    the normal float range), method and rigor.  Built by scaled()."""
 
     p: float
-    raw_moment: float
+    raw_moment: float | None
     value: float
     method: str
     rigor: Rigor
@@ -195,37 +197,50 @@ class MomentEstimate:
     def __post_init__(self):
         if self.method not in ENGINES:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.raw_moment < 0 or self.value < 0:
+        if self.value < 0 or (self.raw_moment is not None and self.raw_moment < 0):
             raise ValueError("moments and norms are nonnegative")
         if self.rigor.kind == "exact" and not ENGINES[self.method].exact:
             raise ValueError(f"method {self.method!r} cannot claim exact rigor")
-        expected = _norm_from_raw(self.p, self.raw_moment)
-        if not math.isclose(self.value, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError(
-                f"value {self.value!r} is not raw_moment**(1/p) = {expected!r} within 1e-12"
-            )
 
     @classmethod
-    def from_raw(cls, p: float, raw_moment: float, method: str, rigor: Rigor) -> "MomentEstimate":
-        raw = float(raw_moment)
-        return cls(float(p), raw, _norm_from_raw(float(p), raw), method, rigor)
+    def scaled(cls, p: float, m: float, e: int | None, method: str, rigor: Rigor) -> "MomentEstimate":
+        """From the moment m = E|S / 2^e|^p of the unit-scale sum and e (None
+        for the zero sum): value 2^e m^{1/p} (m at p = 0), raw moment m 2^{e p}.
+        EngineCapacityError for an m that is not a positive normal float,
+        OverflowError for a norm past the float range."""
+        p, m = float(p), float(m)
+        if e is not None and not _TINY <= m < math.inf:
+            raise EngineCapacityError(f"{method}'s moment of the unit-scale sum, {m!r}, is not a positive normal float")
+        return cls(p, _scale_moment(m, e, p), _scaled_norm(m, e, p), method, rigor)
 
 
-def _norm_from_raw(p: float, raw: float) -> float:
-    if p == 0:
-        return raw
-    if raw == 0.0:
-        return 0.0
-    return raw ** (1.0 / p)
+_TINY = 2.0**-1022  # the smallest normal float
 
 
-def _canonical(v: CoefficientVector, drop_zeros: bool = True) -> np.ndarray:
-    """Nonincreasing absolute coefficients; zeros dropped when the sum law
-    is unaffected.  Gives all engines permutation/sign invariance."""
-    a = np.sort(np.abs(v.as_array()))[::-1]
-    if drop_zeros:
-        a = a[a > 0.0]
-    return a
+def _scaled_norm(m: float, e: int | None, p: float) -> float:
+    """2^e m^{1/p}: the norm of a sum whose unit-scale sum has moment m."""
+    return m if p == 0 or e is None else math.ldexp(m ** (1.0 / p), e)
+
+
+def _scale_moment(m: float, e: int | None, p: float) -> float | None:
+    """m 2^{e p}, exact when e p is an integer; None outside the normal
+    float range."""
+    if e is None or m == 0.0:
+        return m
+    whole = math.floor(e * p)
+    x = m * 2.0 ** (e * p - whole)
+    return math.ldexp(x, whole) if -1022 < math.frexp(x)[1] + whole <= 1024 else None
+
+
+def _canonical(a) -> tuple[np.ndarray, list[int | None]]:
+    """For each row of a (rows, n) array (a vector is one row): its |a_i| in
+    nonincreasing order divided by 2^e, e from math.frexp of the largest, and
+    e (None for a zero row).  Exact but for entries that fall below the
+    normal range, which are negligible next to the largest."""
+    y = np.sort(np.abs(np.atleast_2d(a)), axis=1)[:, ::-1]
+    top = y[:, 0] if y.shape[1] else np.zeros(len(y))
+    e = np.frexp(top)[1]
+    return np.ldexp(y, -e[:, None]), [x if t else None for x, t in zip(e.tolist(), top.tolist())]
 
 
 # --- exact even moments -----------------------------------------------------
@@ -245,33 +260,24 @@ def _even_binomials(half: int) -> list[list[float]]:
     return rows
 
 
-def _prefix_even_levels(a: np.ndarray, d: DistributionSpec, half: int):
-    """After each coefficient of a, the exponent e with max |a_i| < 2^e <=
-    2 max |a_i| over the prefix so far and the levels E S^{2k}, k = 0..half,
-    of the scaled prefix sum S = sum (a_i / 2^e) X_i (one list, updated in
-    place), by a dynamic program over prefix sums:
+def _prefix_even_levels(y: np.ndarray, d: DistributionSpec, half: int):
+    """After each coefficient of a unit-scale canonical y (see _canonical),
+    the levels E S^{2k}, k = 0..half, of the prefix sum S = sum y_i X_i so
+    far (one list, updated in place), by a dynamic program over prefix sums:
 
-        E S_{k+1}^{2m} = sum_{j=0}^{m} C(2m, 2j) a_{k+1}^{2j} E X^{2j} E S_k^{2m-2j},
+        E S_{k+1}^{2m} = sum_{j=0}^{m} C(2m, 2j) y_{k+1}^{2j} E X^{2j} E S_k^{2m-2j},
 
     with E X^{2j} from dists.single_abs_moment.  The odd moments of a
-    symmetric law vanish, so every term is nonnegative and nothing cancels;
-    dividing by 2^e is exact.  A larger coefficient than the prefix's
-    rescales the levels by an exact power of two (what underflows is
-    negligible next to its own term).  Work is len(a) half^2; OverflowError
-    when a level or a moment of one variable leaves the float range.
+    symmetric law vanish, so every term is nonnegative and nothing cancels.
+    Work is len(y) half^2; OverflowError when a level or a moment of one
+    variable leaves the float range.
     """
     rows = _even_binomials(half)
     ex = [dists.single_abs_moment(d, 2.0 * j) for j in range(half + 1)]
-    e = math.frexp(float(a[0]))[1] if len(a) else 0
     m = [1.0] + [0.0] * half  # E S^{2k} of the empty sum
-    w = [1.0] * (half + 1)  # a^{2j} E X^{2j} of the next term
-    for x in a:
-        if (grow := math.frexp(float(x))[1] - e) > 0:
-            e += grow
-            for k in range(1, half + 1):
-                m[k] = math.ldexp(m[k], -2 * k * grow)
-        y = math.ldexp(float(x), -e)
-        y2 = y * y
+    w = [1.0] * (half + 1)  # y^{2j} E X^{2j} of the next term
+    for x in y:
+        y2 = float(x) * float(x)
         power = 1.0
         for j in range(1, half + 1):
             power *= y2
@@ -286,43 +292,42 @@ def _prefix_even_levels(a: np.ndarray, d: DistributionSpec, half: int):
                 total += row[j] * (w[j] * m[k - j])
             m[k] = total
         if not math.isfinite(m[half]):
-            raise OverflowError(f"E S^{2 * half} of the scaled sum is {m[half]!r}")
-        yield e, m
+            raise OverflowError(f"E S^{2 * half} of the unit-scale sum is {m[half]!r}")
+        yield m
 
 
-def _even_levels(a: np.ndarray, d: DistributionSpec, half: int) -> tuple[int, list[float]]:
-    """The last (e, levels) of _prefix_even_levels for a canonical a (see
-    _canonical); EngineCapacityError for work n half^2 above EVEN_MOMENT_CAP."""
-    if (work := len(a) * half * half) > EVEN_MOMENT_CAP:
+def _even_levels(y: np.ndarray, d: DistributionSpec, half: int) -> list[float]:
+    """The last levels of _prefix_even_levels; EngineCapacityError for work
+    n half^2 above EVEN_MOMENT_CAP."""
+    if (work := len(y) * half * half) > EVEN_MOMENT_CAP:
         raise EngineCapacityError(
             f"the even-moment recursion handles work n k^2 <= {EVEN_MOMENT_CAP} for k = {half} levels, got {work}"
         )
-    e, m = 0, [1.0] + [0.0] * half
-    for e, m in _prefix_even_levels(a, d, half):
+    m = [1.0] + [0.0] * half
+    for m in _prefix_even_levels(y, d, half):
         pass
-    return e, m
+    return m
 
 
 def even_sum_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
     """Exact E S^p for even integer p, any law: the top level of
-    _even_levels, multiplied back by 2^{e p}.  Integer inputs therefore give
+    _even_levels on the unit-scale vector.  Integer inputs therefore give
     exact integer moments.  Work is n (p/2)^2.
 
     Refuses (EngineCapacityError) a p that is not an even integer, work
-    above EVEN_MOMENT_CAP, and a moment of the sum or of one variable
-    beyond the float range.
+    above EVEN_MOMENT_CAP, and a moment of the unit-scale sum, of one
+    variable or a norm beyond the float range.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
     if p % 2 != 0:
         raise EngineCapacityError(f"evenMoments handles even integer p, got p={p!r}")
     half = int(p) // 2
+    (y,), (e,) = _canonical(v.as_array())
     try:
-        e, m = _even_levels(_canonical(v), d, half)
-        raw = math.ldexp(m[half], e * 2 * half)
+        return MomentEstimate.scaled(p, _even_levels(y[y > 0.0], d, half)[half], e, "evenMoments", Rigor.exact())
     except OverflowError as exc:
         raise EngineCapacityError(f"evenMoments overflows the float range: {exc}") from None
-    return MomentEstimate.from_raw(p, raw, "evenMoments", Rigor.exact())
 
 
 # --- exact Rademacher enumeration -------------------------------------------
@@ -336,7 +341,8 @@ _ENUMERATION_BLOCK = 1 << 20
 
 def _enumeration_totals(a: np.ndarray, p: float) -> np.ndarray:
     """sum |S|^p over the 2^{n-1} sign patterns with eps_1 = +1, for each row
-    of a (rows, n) array of canonical coefficients, n >= 1.
+    of a (rows, n) array of unit-scale canonical coefficients (see
+    _canonical), n >= 1.
 
     The patterns are taken in blocks of 2^20: the partial sums of the first
     21 coefficients are built once, and each sign pattern of the remaining
@@ -364,7 +370,7 @@ def _enumeration_totals(a: np.ndarray, p: float) -> np.ndarray:
             base[:, size : 2 * size] = base[:, :size] - coef
             base[:, :size] += coef
             size *= 2
-        # a power past the float range is inf, which the caller reports
+        # a power past the float range is inf, which MomentEstimate.scaled refuses
         with np.errstate(over="ignore"):
             if rest.shape[1] == 0:
                 totals[lo : lo + chunk] = np.sum(np.abs(base) ** p, axis=1)
@@ -395,17 +401,16 @@ def rademacher_sum_moment(v: CoefficientVector, p: float) -> MomentEstimate:
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
-    a = _canonical(v, drop_zeros=False)
-    n = len(a)
+    y, (e,) = _canonical(v.as_array())
+    n = y.shape[1]
     if n > ENUMERATION_CAP:
         raise EngineCapacityError(
             f"enumeration handles n <= {ENUMERATION_CAP}, got n={n}; "
             "fall back to the Monte Carlo engine"
         )
-    if n == 0:
-        return MomentEstimate.from_raw(p, 1.0 if p == 0 else 0.0, "enumeration", Rigor.exact())
-    total = float(_enumeration_totals(a[None, :], p)[0])
-    return MomentEstimate.from_raw(p, total / (1 << (n - 1)), "enumeration", Rigor.exact())
+    # the empty sum is 0, whose moment is 1 at p = 0
+    m = float(_enumeration_totals(y, p)[0]) / (1 << (n - 1)) if n else float(p == 0)
+    return MomentEstimate.scaled(p, m, e, "enumeration", Rigor.exact())
 
 
 # --- exact Laplace partial fractions -----------------------------------------
@@ -413,7 +418,7 @@ def rademacher_sum_moment(v: CoefficientVector, p: float) -> MomentEstimate:
 
 def _residue_rows(a: np.ndarray) -> tuple[np.ndarray, list[MomentBoundsError | None]]:
     """Residues c (rows, n) of prod_j 1/(1 + a_j^2 t^2/2) for each row of a
-    (rows, n) array of canonical coefficients, with each row's refusal
+    (rows, n) array of unit-scale canonical coefficients, with each row's refusal
     (None where the row has residues; its row of c is then meaningless)."""
     rows, n = a.shape
     if n == 0:
@@ -454,17 +459,17 @@ def laplace_residues(v: CoefficientVector):
     Requires all coefficients nonzero with pairwise-distinct squares
     (relative gap >= PARTIAL_FRACTION_GAP).  Returns (canonical |a|, c).
     """
-    a = _canonical(v, drop_zeros=False)
-    c, (refusal,) = _residue_rows(a[None, :])
+    y, (e,) = _canonical(v.as_array())
+    c, (refusal,) = _residue_rows(y)
     if refusal is not None:
         raise refusal
-    return a, c[0]
+    return np.ldexp(y[0], e), c[0]
 
 
 def _partial_fraction_rows(a: np.ndarray, p: float) -> tuple[np.ndarray, list[MomentBoundsError | None]]:
     """E|sum a_i E_i|^p = Gamma(p+1) sum_i c_i (|a_i|/sqrt2)^p for each row of
-    a (rows, n) array of canonical coefficients, with each row's refusal
-    (None where the row has a moment)."""
+    a (rows, n) array of unit-scale canonical coefficients, with each row's
+    refusal (None where the row has a moment)."""
     c, refusals = _residue_rows(a)
     with np.errstate(all="ignore"):
         raw = (c * np.exp(log_gamma(p + 1.0) + p * np.log(a / SQRT2))).sum(axis=1)
@@ -484,41 +489,44 @@ def laplace_sum_moment_exact(v: CoefficientVector, p: float) -> MomentEstimate:
     """
     if p <= -1:
         raise ValueError(f"p must be > -1, got {p!r}")
-    (raw,), (refusal,) = _partial_fraction_rows(_canonical(v, drop_zeros=False)[None, :], p)
+    y, (e,) = _canonical(v.as_array())
+    (m,), (refusal,) = _partial_fraction_rows(y, p)
     if refusal is not None:
         raise refusal
-    return MomentEstimate.from_raw(p, raw, "partialFractions", Rigor.exact())
+    return MomentEstimate.scaled(p, m, e, "partialFractions", Rigor.exact())
 
 
 # --- recursion engine for Laplace sums ---------------------------------------
 
 
 def laplace_sum_moment_recursion(v: CoefficientVector, p: float) -> MomentEstimate:
-    """E|sum a_i E_i|^p by the conditional moment recursion over suffix sums:
+    """E|sum a_i E_i|^p by the conditional moment recursion over the prefix
+    sums P_k = sum_{i<=k} y_i E_i of the unit-scale canonical vector y:
 
-        F(i, q) = F(i+1, q) + q(q-1)/2 * a_i^2 * F(i, q-2),
+        E|P_k|^q = E|P_{k-1}|^q + q(q-1)/2 * y_k^2 * E|P_k|^{q-2},
 
     descending q by 2 until the base order q0 lies in [0, 2).  The base case
     q0 = 0 is exact (moment 1), so even integer p needs no quadrature at all;
-    a fractional q0 takes E|S_i|^{q0} of all n suffixes from charFunction's
+    a fractional q0 takes E|P_k|^{q0} of all n prefixes from charFunction's
     integral (O(n) per integrand evaluation, no work cap), and its refusals
-    (EngineCapacityError, QuadratureError) are the recursion's.
+    (EngineCapacityError, QuadratureError) are the recursion's.  Every prefix
+    holds the largest coefficient, so all of them share the scale of y.
 
     Works for any coefficients (repeated values included) and at every p:
     the fallback where charFunction's Taylor subtraction cancels (non-even p
     from about 9.5 at n = 2 to 13.5 at n = 100 upward) or its work cap
     refuses.  Rigor: exact for even p; otherwise tolerance(eps), eps the
-    largest relative error of a base level (one that underflows the normal
-    range is not counted) plus (n + 3) rounding units per level of the
-    ascent, which adds nonnegative terms only.
+    largest relative error of a base level plus (n + 3) rounding units per
+    level of the ascent, which adds nonnegative terms only.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
-    a = _canonical(v)
-    n = len(a)
+    (y,), (e,) = _canonical(v.as_array())
+    y = y[y > 0.0]
+    n = len(y)
     if n == 0:
-        raw = 1.0 if p == 0 else 0.0
-        return MomentEstimate.from_raw(p, raw, "recursion", Rigor.exact())
+        return MomentEstimate.scaled(p, 1.0 if p == 0 else 0.0, None, "recursion", Rigor.exact())
+    squares = [x * x for x in y.tolist()]
     # descending by 2.0 is exact in binary floating point; ascend over the
     # same ladder rather than re-adding (which could round)
     ladder = [p]
@@ -529,23 +537,23 @@ def laplace_sum_moment_recursion(v: CoefficientVector, p: float) -> MomentEstima
         level = [1.0] * (n + 1)
         eps = None
     else:
-        # E|S_i|^{q0} of every suffix, shortest first; the empty one stays 0
+        # E|P_k|^{q0} of every prefix; the empty one stays 0
         level, eps = [0.0] * (n + 1), 0.0
         d = dists.sym_exponential()
-        for i, (e, mom) in zip(range(n - 1, -1, -1), _prefix_even_levels(a[::-1], d, _SERIES_TERMS)):
-            value, err = _char_function_integral(d.kind, d.scale, np.ldexp(a[i:], -e), mom, q0)
-            level[i], eps = value * 2.0 ** (e * q0), max(eps, err)
+        for k, mom in enumerate(_prefix_even_levels(y, d, _SERIES_TERMS), 1):
+            level[k], err = _char_function_integral(d.kind, d.scale, y[:k], mom, q0)
+            eps = max(eps, err)
         # a term adds 4 roundings (coef, three products) to the relative error
         # of the level below, and a sum of n nonnegative terms n - 1 more
         eps += (len(ladder) - 1) * (n + 3) * _UNIT_ROUNDOFF
     for q in reversed(ladder[:-1]):
         nxt = [0.0] * (n + 1)
         coef = 0.5 * q * (q - 1.0)
-        for i in range(n - 1, -1, -1):
-            nxt[i] = nxt[i + 1] + coef * a[i] * a[i] * level[i]
+        for k in range(1, n + 1):
+            nxt[k] = nxt[k - 1] + coef * squares[k - 1] * level[k]
         level = nxt
     rigor = Rigor.exact() if eps is None else Rigor.tolerance(eps)
-    return MomentEstimate.from_raw(p, level[0], "recursion", rigor)
+    return MomentEstimate.scaled(p, level[n], e, "recursion", rigor)
 
 
 # --- characteristic-function integral, p not an even integer -----------------
@@ -702,20 +710,17 @@ def _char_function_estimate(
     v: CoefficientVector, d: DistributionSpec, p: float, method: str, limits=_CHAR_FUNCTION_LIMITS
 ) -> MomentEstimate:
     """The path of char_function_moment and haagerup_moment: the integral of
-    _char_function_integral on the coefficients that _even_levels scales by
-    2^{-e}, its raw moment scaled back by 2^{e p}."""
-    a = _canonical(v)
-    if len(a) == 0:
-        return MomentEstimate.from_raw(p, 0.0, method, Rigor.tolerance(_UNIT_ROUNDOFF))
+    _char_function_integral on the unit-scale vector."""
+    (y,), (e,) = _canonical(v.as_array())
+    y = y[y > 0.0]
+    if e is None:
+        return MomentEstimate.scaled(p, 0.0, None, method, Rigor.tolerance(_UNIT_ROUNDOFF))
     try:
-        e, mom = _even_levels(a, d, int(p) // 2 + _SERIES_TERMS)
-        value, eps = _char_function_integral(engine_law(d), d.scale, np.ldexp(a, -e), mom, p, limits)
-        raw = value * 2.0 ** (e * p)
+        mom = _even_levels(y, d, int(p) // 2 + _SERIES_TERMS)
+        value, eps = _char_function_integral(engine_law(d), d.scale, y, mom, p, limits)
     except OverflowError as exc:
         raise EngineCapacityError(f"{method} overflows the float range: {exc}") from None
-    if not sys.float_info.min <= raw < math.inf:
-        raise EngineCapacityError(f"{method}'s moment {raw!r} is not a positive normal float")
-    return MomentEstimate.from_raw(p, raw, method, Rigor.tolerance(eps))
+    return MomentEstimate.scaled(p, value, e, method, Rigor.tolerance(eps))
 
 
 def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
@@ -726,11 +731,11 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
         P_m(t) = sum_{j<=m} (-1)^j E S^{2j} t^{2j}/(2j)!,   2m < p < 2m+2,
 
     with C_p = -(2/pi) Gamma(p+1) sin(p pi/2), for the two-sided exponential
-    and Weibull alpha = 2, whose phi_S are closed forms.  The moments
-    E S^{2j} come from _even_levels, which scales the coefficients by a power
-    of two to max |a_i| in [1/2, 1); the raw moment is scaled back.
+    and Weibull alpha = 2, whose phi_S are closed forms.  It runs on the
+    unit-scale vector (max |a_i| in [1/2, 1)), whose moments E S^{2j} come
+    from _even_levels.
 
-    Numerics, with sigma = ||S||_2 of the scaled sum, t1 = 4/sigma (at most
+    Numerics, with sigma = ||S||_2 of the unit-scale sum, t1 = 4/sigma (at most
     1/max|a_i| for the exponential, whose phi_S has poles) and t0 = t1/4:
 
     * below t0 the integrand is the Taylor series of phi_S - P_m, integrated
@@ -749,9 +754,8 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
     integral, plus 16 ulps for the final products.  Refuses
     (EngineCapacityError) an even integer p, a law without a closed-form
     phi_S, eps above CHAR_FUNCTION_TOLERANCE (at large p the pieces cancel),
-    work of _even_levels above EVEN_MOMENT_CAP, and a moment out of the
-    normal float range; QuadratureError when a quadrature does not converge
-    (after the retry, on a block).
+    and work of _even_levels above EVEN_MOMENT_CAP; QuadratureError when a
+    quadrature does not converge (after the retry, on a block).
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
@@ -797,15 +801,18 @@ def monte_carlo_sum_moments(
 
     Deterministic for fixed (seed, samples): draws come from per-block
     substreams of the master seed with a fixed block size and reduction
-    order, so runs are reproducible and parallelizable.  CI halfwidth is the
-    asymptotic-normal 3-sigma value (confidence 0.997).
+    order, so runs are reproducible and parallelizable; they weight the
+    unit-scale vector, so they are the same at every power-of-two scale.
+    CI halfwidth is the asymptotic-normal 3-sigma value (confidence 0.997);
+    EngineCapacityError where it or the raw moment leaves the float range.
     """
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}, got {samples!r}")
     for p in ps:
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p!r}")
-    a = _canonical(v)
+    (y,), (e,) = _canonical(v.as_array())
+    y = y[y > 0.0]
     sums = {p: 0.0 for p in ps}
     sq_sums = {p: 0.0 for p in ps}
     done = 0
@@ -813,10 +820,7 @@ def monte_carlo_sum_moments(
     while done < samples:
         m = min(_MC_BLOCK, samples - done)
         rng = dists.substream(seed, block_index)
-        if len(a) == 0:
-            abs_s = np.zeros(m)
-        else:
-            abs_s = np.abs(dists.sample_array(d, rng, (m, len(a))) @ a)
+        abs_s = np.abs(dists.sample_array(d, rng, (m, len(y))) @ y)
         for p in ps:
             x = abs_s**p
             sums[p] += float(np.sum(x))
@@ -827,10 +831,10 @@ def monte_carlo_sum_moments(
     for p in ps:
         mean = sums[p] / samples
         var = max(sq_sums[p] - samples * mean * mean, 0.0) / (samples - 1)
-        halfwidth = 3.0 * math.sqrt(var / samples)
-        out.append(
-            MomentEstimate.from_raw(p, mean, "monteCarlo", Rigor.ci(halfwidth, 0.997))
-        )
+        halfwidth = _scale_moment(3.0 * math.sqrt(var / samples), e, p)
+        if halfwidth is None or _scale_moment(mean, e, p) is None:
+            raise EngineCapacityError(f"monteCarlo's ci at p={p!r} lies outside the normal float range")
+        out.append(MomentEstimate.scaled(p, mean, e, "monteCarlo", Rigor.ci(halfwidth, 0.997)))
     return out
 
 
@@ -849,8 +853,10 @@ def monte_carlo_sum_moment(
 
 
 def gaussian_sum_norm(v: CoefficientVector, p: float) -> MomentEstimate:
-    """||sum a_i g_i||_p = gamma_p ||a||_2 exactly (2-stability)."""
+    """||sum a_i g_i||_p = gamma_p ||a||_2 exactly (2-stability), on the
+    unit-scale vector."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p!r}")
-    value = gamma_p(p) * coeffs.norm(v, 2)
-    return MomentEstimate(p, value**p, value, "closedForm", Rigor.exact())
+    y, (e,) = _canonical(v.as_array())
+    m = (gamma_p(p) * coeffs._l2_rows(y)[0]) ** p
+    return MomentEstimate.scaled(p, m, e, "closedForm", Rigor.exact())

@@ -117,15 +117,11 @@ class _Norm:
         r = est.rigor
         if r.kind == "exact":
             return cls.exact(est.value)
-        p = est.p
-        raw = est.raw_moment
-        if r.kind == "tolerance":
-            lo = (raw * (1.0 - r.epsilon)) ** (1.0 / p) if raw > 0 else 0.0
-            hi = (raw * (1.0 + r.epsilon)) ** (1.0 / p) if raw > 0 else 0.0
-            return cls(est.value, lo, hi, False)
-        lo = max(raw - r.halfwidth, 0.0) ** (1.0 / p)
-        hi = (raw + r.halfwidth) ** (1.0 / p)
-        return cls(est.value, lo, hi, True)
+        # the relative width on the raw moment, which a ci estimate (Monte
+        # Carlo) always carries, taken to the norm scale
+        rel = r.epsilon if r.kind == "tolerance" else r.halfwidth / (est.raw_moment or 1.0)
+        lo, hi = (est.value * max(1.0 + s * rel, 0.0) ** (1.0 / est.p) for s in (-1.0, 1.0))
+        return cls(est.value, lo, hi, r.kind == "ci")
 
 
 @dataclass
@@ -452,13 +448,12 @@ class SearchConfig:
             raise ValueError("iterations must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.check in ("comp2", "p24") and self.n_max > summoments.ENUMERATION_CAP:
-            raise ValueError(
-                f"the {self.check} search enumerates sign patterns: n_max must be "
-                f"<= {summoments.ENUMERATION_CAP}, got {self.n_max}"
-            )
+        # the rules of a search job, refused with the field they concern
+        if self.check in ("comp2", "p24") and self.n_max > (cap := summoments.ENUMERATION_CAP):
+            raise JobValidationError("n_max", f"the {self.check} search enumerates up to n = {cap}, got {self.n_max}")
         if self.check in SEARCH_P_RANGES and not self.orders():
-            raise ValueError(f"p_grid {self.p_grid} has no order at which the {self.check} inequality is proved")
+            lo, hi = SEARCH_P_RANGES[self.check]
+            raise JobValidationError("p_grid", f"{self.check} needs p in [{lo:g}, {hi:g}], got {list(self.p_grid)}")
 
     def orders(self) -> list[float]:
         """The orders of p_grid at which the check's inequality is proved."""
@@ -521,14 +516,18 @@ def _search_margins(check: str, v: np.ndarray, p: float | None, t: np.ndarray | 
             out.append((lhs - rhs) / max(1.0, abs(rhs)))
         return np.array(out)
     n = v.shape[1]
-    rad = [summoments._norm_from_raw(p, r) for r in (summoments._enumeration_totals(v, p) / (1 << (n - 1))).tolist()]
+    y, e = summoments._canonical(v)
+    totals = (summoments._enumeration_totals(y, p) / (1 << (n - 1))).tolist()
+    rad = [summoments._scaled_norm(m, x, p) for m, x in zip(totals, e)]
     rest = v[:, min(coeffs.half_ceil(p) - 1, n) :] if check == "comp2" else v[:, 1:]
-    raw, refusals = summoments._partial_fraction_rows(rest, p)
+    y, e = summoments._canonical(rest)
+    moments, refusals = summoments._partial_fraction_rows(y, p)
     # equal rows (above all, the empty tails of small n) share one ladder walk
     rows = [tuple(row) for row in rest.tolist()]
     refused = {row for row, refusal in zip(rows, refusals) if refusal is not None}
     ladder = {row: reference_estimate(CoefficientVector(row), dists.sym_exponential(), p).value for row in refused}
-    lap = [ladder[row] if row in ladder else summoments._norm_from_raw(p, r) for r, row in zip(raw.tolist(), rows)]
+    lap = [ladder[row] if row in ladder else summoments._scaled_norm(m, x, p)
+           for m, x, row in zip(moments.tolist(), e, rows)]
     if check == "p24":
         return np.array([x - y for x, y in zip(rad, lap)])
     g = gamma_p(p)

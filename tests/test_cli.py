@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import re
+import warnings
+
+import mpmath
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentbounds import cli, summoments, verify
+import oracles
+from momentbounds import cli, dists, summoments, verify
 from momentbounds.errors import JobValidationError, QuadratureError
 from momentbounds.summoments import MomentEstimate, Rigor
 
@@ -237,9 +243,9 @@ class TestEngineFailureExitCodes:
         assert haagerup["raw_moment"] == pytest.approx(exact["raw_moment"], rel=haagerup["epsilon"])
 
     def test_overflowing_moment_exits_capacity(self, capsys):
-        # ||S||_5 is about 4e100, so its fifth power leaves the float range
+        # ||S||_5 is about 2e308, past the float range
         status, out, err = invoke(
-            ["moment", "--coeffs", "1e100,2e100", "--dist", "gaussian", "--p", "5"], capsys
+            ["moment", "--coeffs", "1e308,1e308", "--dist", "gaussian", "--p", "5"], capsys
         )
         assert status == cli.EXIT_CAPACITY
         assert err.startswith("error: result out of float range")
@@ -247,19 +253,21 @@ class TestEngineFailureExitCodes:
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_warning_stays_off_stderr(self, capsys):
+        # E|S|^p = 2^1e6 / 2 is past the float range, its root 2^(1 - 1e-6) is not
         status, out, err = invoke(["moment", "--coeffs", "1,1", "--dist", "rademacher", "--p", "1e6"], capsys)
-        assert status == cli.EXIT_CAPACITY
-        assert err.startswith("error: cannot render the result") and "Warning" not in err
-        assert out == ""
+        assert status == cli.EXIT_OK and err == ""
+        (rec,) = records_of(out)
+        assert rec["raw_moment"] is None and rec["rigor"] == "exact"
+        assert rec["value"] == pytest.approx(2.0 ** (1.0 - 1e-6), rel=1e-15)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_unrenderable_record_exits_capacity(self, fmt, capsys):
-        # the raw moment 2^1e6 / 2 overflows to inf, which neither format carries
+        # the norm sqrt(2) 1.5e308 overflows, which neither format carries
         status, out, err = invoke(
-            ["moment", "--coeffs", "1,1", "--dist", "rademacher", "--p", "1e6", "--format", fmt], capsys
+            ["moment", "--coeffs", "1.5e308,1.5e308", "--dist", "rademacher", "--p", "2", "--format", fmt], capsys
         )
         assert status == cli.EXIT_CAPACITY
-        assert "render" in err
+        assert "float range" in err
         assert out == ""
 
 
@@ -348,10 +356,10 @@ class TestEngineRegistry:
     def test_every_engine_is_accepted(self):
         for name, engine in summoments.ENGINES.items():
             rigor = Rigor.exact() if engine.exact else Rigor.tolerance(1e-6)
-            assert MomentEstimate.from_raw(3.0, 8.0, name, rigor).method == name
+            assert MomentEstimate.scaled(3.0, 1.0, 1, name, rigor).method == name
             if not engine.exact:
                 with pytest.raises(ValueError, match="cannot claim exact"):
-                    MomentEstimate.from_raw(3.0, 8.0, name, Rigor.exact())
+                    MomentEstimate.scaled(3.0, 1.0, 1, name, Rigor.exact())
             for law in engine.laws:
                 doc = {"command": "moment", "coefficients": [1.0], "distribution": law,
                        "p": [3.0], "engine": [name], "seed": 1}
@@ -430,13 +438,102 @@ class TestTinyScales:
             assert recs[source]["lower"] <= norm <= recs[source]["upper"], source
 
     def test_gaussian_moment_refuses_a_wrong_exact_value(self, capsys):
-        # the norm 5e-160 is exact, but its square lies below the normal range
+        # the norm 5e-160 is exact; its square lies below the normal range,
+        # so the record carries no raw moment rather than a wrong one
         status, out, err = invoke(
             ["moment", "--coeffs", "3e-160,4e-160", "--dist", "gaussian", "--p", "2"], capsys
         )
-        assert status == cli.EXIT_USAGE
-        assert "raw_moment" in err
-        assert out == ""
+        assert status == cli.EXIT_OK and err == ""
+        (rec,) = records_of(out)
+        assert rec["raw_moment"] is None and rec["rigor"] == "exact"
+        assert rec["value"] == pytest.approx(5e-160, rel=1e-15)
+
+
+class TestScaleRule:
+    """Every engine runs on the unit-scale vector: a norm is printed at any
+    scale it can take, whether or not its raw moment can be."""
+
+    @staticmethod
+    def laplace_pair_norm(a, b, p):
+        # E|a E1 + b E2|^p from the density of the sum: for distinct a, b the
+        # partial fractions, for a = b (a/sqrt2)^p Gamma(p+1) (p+2)/2
+        a, b, p = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(p)
+        s, t = a / mpmath.sqrt(2), b / mpmath.sqrt(2)
+        if a == b:
+            raw = s**p * mpmath.gamma(p + 1) * (p + 2) / 2
+        else:
+            raw = mpmath.gamma(p + 1) * (a**2 * s**p - b**2 * t**p) / (a**2 - b**2)
+        return float(raw ** (1 / p))
+
+    @pytest.mark.parametrize(
+        "coeffs, dist, p, unit",
+        [
+            ("1e-200,1e-200", ["rademacher"], "4", lambda: 8.0**0.25),
+            ("1e200,1e200", ["symExponential"], "8", lambda: TestScaleRule.laplace_pair_norm(1, 1, 8)),
+            ("1e-200,3e-200", ["symExponential"], "3.5", lambda: TestScaleRule.laplace_pair_norm(3, 1, 3.5)),
+            ("1e-100,3e-100", ["symExponential"], "8", lambda: TestScaleRule.laplace_pair_norm(3, 1, 8)),
+            ("1e-100,2e-100,1e-100", ["gaussian"], "5", lambda: dists.gamma_p(5.0) * math.sqrt(6.0)),
+            ("1e-160,1e-160", ["weibullTail", "--alpha", "2"], "3",
+             lambda: oracles.weibull2_pair_moment(1.0, 1.0, 3.0, dists.weibull_tail(2.0).scale) ** (1 / 3)),
+            ("1,1", ["rademacher"], "1e6", lambda: 2.0 ** (1.0 - 1e-6)),
+        ],
+    )
+    def test_norm_at_every_scale(self, coeffs, dist, p, unit, capsys):
+        status, out, err = invoke(["moment", "--coeffs", coeffs, "--dist", *dist, "--p", p], capsys)
+        assert status == cli.EXIT_OK and err == ""
+        (rec,) = records_of(out)
+        scale = abs(float(coeffs.split(",")[0]))
+        eps = rec["epsilon"] if rec["rigor"] == "tolerance" else 0.0
+        assert rec["value"] == pytest.approx(scale * unit(), rel=eps + 1e-14)
+
+    def test_logconc_interval_contains_the_norm(self, capsys):
+        status, out, err = invoke(["bounds", "--coeffs", "1e-200,1e-200", "--dist", "rademacher", "--p", "4"], capsys)
+        assert status == cli.EXIT_OK and err == ""
+        (logconc,) = [r for r in records_of(out) if r["source"] == "logconc"]
+        norm = 8.0**0.25 * 1e-200
+        assert logconc["lower"] <= norm * (1 + 1e-15) and norm <= logconc["upper"]
+
+
+_FIELD_ERROR = re.compile(r"error: [a-z_]+(\[\d+\])?: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["moment", "bounds"]),
+    st.one_of(
+        st.sampled_from([["rademacher"], ["symExponential"], ["gaussian"]]),
+        st.sampled_from(["1", "1.5", "2", "3"]).map(lambda alpha: ["weibullTail", "--alpha", alpha]),
+    ),
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300)), min_size=1, max_size=5
+    ),
+    st.integers(0, 3),
+    st.one_of(st.floats(1.0, 64.0), st.integers(1, 32).map(lambda k: 2.0 * k)),
+    st.one_of(st.none(), st.integers(0, 2**31)),
+)
+def test_cli_fuzz_ends_in_a_record_or_a_diagnostic(command, dist, coeffs, repeats, p, seed):
+    # repeated entries: the first few again
+    coeffs = coeffs + coeffs[:repeats]
+    argv = [command, "--coeffs=" + ",".join(map(repr, coeffs)), "--dist", *dist, "--p", repr(p), "--samples", "10000"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    err = err.getvalue()
+    assert status in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_CAPACITY, cli.EXIT_VIOLATION), err
+    assert "Traceback" not in err and "Warning" not in err
+    if status == cli.EXIT_USAGE:
+        assert _FIELD_ERROR.match(err), err
+    if status == cli.EXIT_OK:
+        for rec in records_of(out.getvalue()):
+            if command == "moment":
+                assert math.isfinite(rec["value"]) and (rec["value"] > 0) == any(coeffs)
+            else:
+                assert 0.0 <= rec["lower"] <= rec["upper"] < math.inf
 
 
 class TestVerifyCommand:

@@ -41,16 +41,24 @@ CV = CoefficientVector
 
 class TestMomentEstimate:
     def test_value_must_match_raw_root(self):
-        with pytest.raises(ValueError):
-            MomentEstimate(2.0, 4.0, 3.0, "enumeration", Rigor.exact())
-        est = MomentEstimate.from_raw(2.0, 4.0, "enumeration", Rigor.exact())
-        assert est.value == 2.0
+        # built from the moment m of the unit-scale sum and its exponent e:
+        # value 2^e m^{1/p}, raw moment m 2^{e p} while that is a normal float
+        est = MomentEstimate.scaled(2.0, 1.0, 1, "enumeration", Rigor.exact())
+        assert (est.value, est.raw_moment) == (2.0, 4.0)
+        est = MomentEstimate.scaled(4.0, 0.5, -300, "enumeration", Rigor.exact())
+        assert est.value == math.ldexp(0.5**0.25, -300) and est.raw_moment is None
+        assert MomentEstimate.scaled(3.0, 0.0, None, "enumeration", Rigor.exact()).value == 0.0
+        for m in (0.0, 1e-310, math.inf):
+            with pytest.raises(EngineCapacityError, match="positive normal float"):
+                MomentEstimate.scaled(2.0, m, 0, "enumeration", Rigor.exact())
+        with pytest.raises(OverflowError):
+            MomentEstimate.scaled(2.0, 1.0, 1024, "enumeration", Rigor.exact())
 
     def test_exact_rigor_restricted_to_exact_paths(self):
         with pytest.raises(ValueError):
-            MomentEstimate.from_raw(2.0, 4.0, "monteCarlo", Rigor.exact())
+            MomentEstimate.scaled(2.0, 1.0, 1, "monteCarlo", Rigor.exact())
         with pytest.raises(ValueError):
-            MomentEstimate.from_raw(2.0, 4.0, "haagerup", Rigor.exact())
+            MomentEstimate.scaled(2.0, 1.0, 1, "haagerup", Rigor.exact())
 
     def test_ci_rigor_fields(self):
         with pytest.raises(ValueError):
@@ -202,7 +210,7 @@ class TestEvenMoments:
     @pytest.mark.parametrize(
         "values, d, p",
         [
-            ([1e200, 1e200], dists.rademacher(), 4.0),  # the raw moment
+            ([1.7e308, 1.7e308], dists.rademacher(), 4.0),  # the norm
             ([0.99, 0.99], dists.gaussian(), 300.0),  # a level of the scaled sum
             ([1.0], dists.weibull_tail(1.0), 400.0),  # E X^400
         ],
@@ -216,22 +224,30 @@ class TestRowKernels:
     """A batch of rows gets the bits each row gets alone from its engine."""
 
     # n = 21 fills a whole block per row, n = 22 streams two blocks per row
+    @staticmethod
+    def estimates(moments, exponents, p, method):
+        return [MomentEstimate.scaled(p, m, e, method, Rigor.exact()) for m, e in zip(moments, exponents)]
+
     @pytest.mark.parametrize("n, rows", [(3, 50), (21, 3), (22, 2)])
     def test_enumeration_rows(self, n, rows):
-        a = -np.sort(-np.random.default_rng(n).uniform(0.0, 2.0, (rows, n)), axis=1)
+        a = np.random.default_rng(n).uniform(0.0, 2.0, (rows, n))
+        y, e = summoments._canonical(a)
         for p in (2.0, 3.5):
-            totals = summoments._enumeration_totals(a, p) / (1 << (n - 1))
-            assert totals.tolist() == [rademacher_sum_moment(CV(row), p).raw_moment for row in a]
+            totals = summoments._enumeration_totals(y, p) / (1 << (n - 1))
+            got = self.estimates(totals.tolist(), e, p, "enumeration")
+            assert got == [rademacher_sum_moment(CV(row), p) for row in a]
 
     def test_partial_fraction_rows_and_refusals(self):
         a = -np.sort(-np.random.default_rng(5).uniform(0.1, 2.0, (40, 4)), axis=1)
         a[3, 1] = a[3, 0]  # equal squares
         a[7, 3] = 0.0
+        y, e = summoments._canonical(a)
         for p in (2.0, 3.5):
-            raw, refusals = summoments._partial_fraction_rows(a, p)
-            for row, r, refusal in zip(a, raw, refusals):
+            moments, refusals = summoments._partial_fraction_rows(y, p)
+            for row, m, x, refusal in zip(a, moments, e, refusals):
                 try:
-                    assert r == laplace_sum_moment_exact(CV(row), p).raw_moment and refusal is None
+                    want = laplace_sum_moment_exact(CV(row), p)
+                    assert self.estimates([m], [x], p, "partialFractions") == [want] and refusal is None
                 except (DegenerateCoefficientsError, ResidueCancellationError) as exc:
                     assert type(refusal) is type(exc) and str(refusal) == str(exc)
 
@@ -322,9 +338,9 @@ class TestRecursionEngine:
         assert abs(est.raw_moment / want - 1) <= est.rigor.epsilon
 
     def test_base_levels_are_char_function_integrals(self, monkeypatch):
-        # one charFunction integral per suffix, shortest first, each on its
-        # own scaled coefficients; its error bound carries over and its
-        # refusals are the recursion's, so a ladder moves past them
+        # one charFunction integral per prefix of the unit-scale vector,
+        # shortest first; its error bound carries over and its refusals are
+        # the recursion's, so a ladder moves past them
         calls = []
         real = summoments._char_function_integral
 
@@ -335,7 +351,7 @@ class TestRecursionEngine:
 
         monkeypatch.setattr(summoments, "_char_function_integral", spy)
         est = laplace_sum_moment_recursion(CV([1, 1, 0.5]), 7.5)
-        assert [(y, q) for y, q, _ in calls] == [([0.5], 1.5), ([0.5, 0.25], 1.5), ([0.5, 0.5, 0.25], 1.5)]
+        assert [(y, q) for y, q, _ in calls] == [([0.5], 1.5), ([0.5, 0.5], 1.5), ([0.5, 0.5, 0.25], 1.5)]
         assert est.rigor.epsilon >= max(err for _, _, err in calls)
 
         def diverges(*args, **kwargs):
@@ -548,10 +564,13 @@ class TestCharFunction:
     def test_refuses_work_and_range(self):
         with pytest.raises(EngineCapacityError, match=str(EVEN_MOMENT_CAP)):
             char_function_moment(CV([1.0] * 2000), self.W2, 3.0)
-        with pytest.raises(EngineCapacityError, match="overflow"):
-            char_function_moment(CV([1e200, 1e200]), self.W2, 3.0)
-        with pytest.raises(EngineCapacityError, match="positive normal float"):
-            char_function_moment(CV([1e-200, 3e-200]), self.W2, 3.5)
+        # no range refusal: moments past the float range keep their norm
+        for values, p in (([1.0, 1.0], 3.0), ([1.0, 3.0], 3.5)):
+            base = char_function_moment(CV(values), self.W2, p)
+            for scale in (1e200, 1e-200):
+                est = char_function_moment(CV([scale * x for x in values]), self.W2, p)
+                assert est.raw_moment is None
+                assert est.value == pytest.approx(scale * base.value, rel=2 * base.rigor.epsilon)
 
 
 class TestMonteCarlo:
@@ -627,6 +646,71 @@ def test_scaling(name):
     assert scaled.value == pytest.approx(lam * base.value, rel=rel)
 
 
+LAWS = {
+    dists.RADEMACHER: dists.rademacher(),
+    dists.SYM_EXPONENTIAL: dists.sym_exponential(),
+    dists.GAUSSIAN: dists.gaussian(),
+    dists.WEIBULL_TAIL: dists.weibull_tail(2.0),
+}
+
+
+def run_engine(name, law, values, p):
+    """The estimate of one registry engine, seeded, or None where it refuses
+    the input or p lies outside its domain."""
+    engine = summoments.ENGINES[name]
+    given = {"v": CV(values), "law": law, "d": LAWS[law], "p": p, "samples": 10_000, "seed": 5}
+    try:
+        return getattr(summoments, engine.function)(*[given[arg] for arg in engine.args])
+    except (ValueError, *engine.refusals):
+        return None
+
+
+def norm_width(est):
+    """The relative width of the rigor class of est on the norm scale."""
+    r = est.rigor
+    if r.kind == "exact" or est.value == 0.0:
+        return 0.0
+    rel = r.epsilon if r.kind == "tolerance" else r.halfwidth / est.raw_moment
+    return (1.0 + rel) ** (1.0 / est.p) - 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(0.05, 20.0), st.just(0.0)), min_size=1, max_size=5),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+    st.one_of(st.sampled_from([2.0, 4.0, 6.0, 8.0]), st.floats(1.0, 9.0).filter(lambda x: x % 2 != 0)),
+    st.integers(-990, 990),
+    st.integers(-300, 300),
+)
+def test_scaling_covariance(magnitudes, signs, p, k, j):
+    # every engine computes on the unit-scale vector: at 2^k a it sees the
+    # same one (Monte Carlo the same draws), so the norm scales to the bit;
+    # at 1.7 10^j a the unit-scale vector moves by rounding only
+    a = [-x if s else x for x, s in zip(magnitudes, signs)]
+    lam = 1.7 * 10.0**j
+    for name, engine in summoments.ENGINES.items():
+        for law in sorted(engine.laws):
+            base = run_engine(name, law, a, p)
+            if base is None:
+                continue
+            for exact_scale, values, want in ((True, [math.ldexp(x, k) for x in a], math.ldexp(base.value, k)),
+                                              (False, [lam * x for x in a], lam * base.value)):
+                try:
+                    est = run_engine(name, law, values, p)
+                except EngineCapacityError as exc:
+                    # the ci label cannot carry a raw moment past the float range
+                    assert name == "monteCarlo" and "normal float range" in str(exc)
+                    continue
+                if exact_scale:
+                    assert est is not None and est.value == want, (name, law)
+                elif est is not None:
+                    slack = 4 * math.ulp(want)
+                    if name == "partialFractions":
+                        # the partial-fraction sum moves with its residue mass
+                        slack *= float(np.abs(laplace_residues(CV(a))[1]).sum())
+                    assert abs(est.value - want) <= want * (norm_width(base) + norm_width(est)) + slack, (name, law)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=1, max_size=6),
@@ -634,7 +718,10 @@ def test_scaling(name):
 )
 def test_norm_scale_consistency(values, p):
     est = rademacher_sum_moment(CV(values), p)
-    if est.raw_moment > 0:
+    if est.raw_moment is None:
+        # E|S|^p is below the normal range; the norm is not
+        assert 0.0 < est.value and math.log2(est.value) * p < -1021
+    elif est.raw_moment > 0:
         assert est.value == pytest.approx(est.raw_moment ** (1 / p), rel=1e-12)
     else:
         assert est.value == 0.0
