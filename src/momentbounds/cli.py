@@ -169,8 +169,8 @@ def _validate(job: JobSpec):
         _validate_names("engine", job.engine, tuple(summoments.ENGINES))
     if not _is_number(job.samples, int) or job.samples < summoments.MC_MIN_SAMPLES:
         _fail("samples", f"must be an integer >= {summoments.MC_MIN_SAMPLES}")
-    if job.seed is not None and not _is_number(job.seed, int):
-        _fail("seed", "must be an integer")
+    if job.seed is not None and (not _is_number(job.seed, int) or job.seed < 0):
+        _fail("seed", f"must be a nonnegative integer, got {job.seed!r}")
     if job.checks is not None:
         _validate_names("checks", job.checks, sorted(set(verify.SUITE_CHECKS) | set(verify.SEARCH_CHECKS)))
     if not _is_number(job.iterations, int) or job.iterations < 1:
@@ -254,9 +254,15 @@ def _run_moment(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     # per requested engine, no fallback
     ladders = [None] if job.engine is None else [[e] for e in job.engine]
     records = []
-    for p in job.p:
+    for i, p in enumerate(job.p):
         for prefer in ladders:
-            est = verify.reference_estimate(v, d, float(p), samples=job.samples, seed=job.seed, prefer=prefer)
+            try:
+                est = verify.reference_estimate(v, d, float(p), samples=job.samples, seed=job.seed, prefer=prefer)
+            except ValueError as exc:
+                if prefer is None or isinstance(exc, JobValidationError):
+                    raise  # e.g. a missing seed, which names its own field
+                # a pinned engine's domain error (haagerup outside 2 < p < 4)
+                raise JobValidationError(f"p[{i}]", str(exc)) from exc
             r = est.rigor
             records.append(
                 {
@@ -304,7 +310,7 @@ def _run_verify(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
         checks = [c for c in job.checks if c in verify.SUITE_CHECKS]
         if not checks:
             _fail("checks", f"no suite checks among {job.checks!r}")
-    band = tuple(job.gk_band) if job.gk_band else (1.0 / 20.0, 20.0)
+    band = tuple(job.gk_band) if job.gk_band else verify.GK_BAND
     reports = verify.suite(
         job.seed, samples=job.samples, checks=checks, p_grid=job.p, gk_band=band
     )
@@ -438,29 +444,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "closed-form two-sided bounds, and machine verification of the "
         "underlying inequalities.",
     )
-    ap.add_argument("command", nargs="?", choices=_COMMANDS, help="job command")
+    ap.add_argument("command", nargs="?", help=f"job command: one of {', '.join(_COMMANDS)}")
     ap.add_argument("--job", help="job document: JSON file path or '-' for stdin")
     ap.add_argument("--coeffs", help="comma-separated coefficients, e.g. 1,-2,0.5")
-    ap.add_argument("--dist", choices=dists.KINDS, help="distribution kind")
-    ap.add_argument("--alpha", type=float, help="weibullTail shape (alpha >= 1)")
+    ap.add_argument("--dist", help=f"distribution kind: one of {', '.join(dists.KINDS)}")
+    ap.add_argument("--alpha", help="weibullTail shape (alpha >= 1)")
     ap.add_argument("--p", help="comma-separated moment orders, e.g. 2,3,4")
     ap.add_argument("--engine", help="comma-separated engine preference")
-    ap.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    ap.add_argument("--seed", type=int, help="master seed (required when stochastic)")
-    ap.add_argument("--format", choices=_FORMATS, help="output format")
+    ap.add_argument("--samples", help="Monte Carlo sample count")
+    ap.add_argument("--seed", help="master seed (required when stochastic)")
+    ap.add_argument("--format", help="output format: json or csv")
     ap.add_argument("--checks", help="comma-separated check ids for verify/search")
-    ap.add_argument("--iterations", type=int, help="search iterations per check")
-    ap.add_argument("--nmax", type=int, help="search: max coefficient count")
+    ap.add_argument("--iterations", help="search iterations per check")
+    ap.add_argument("--nmax", help="search: max coefficient count")
     ap.add_argument("--gk-band", dest="gk_band", help="ratio band lo,hi for gk_ratio")
     ap.add_argument("--out", help="write records to this path instead of stdout")
     return ap
 
 
-def _split_floats(text: str, field: str) -> list[float]:
+def _flag(text: str | None, field: str, kind=float, many: bool = False):
+    """A flag's text as kind (a comma-separated list if many); empty is absent."""
+    if not text:
+        return None
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for x in text.split(",") if x.strip() != ""] if many else kind(text)
     except ValueError:
-        _fail(field, f"could not parse {text!r} as comma-separated reals")
+        _fail(field, f"could not parse {text!r} as {'comma-separated reals' if many else kind.__name__}")
 
 
 def _load_document(path: str | None) -> dict | None:
@@ -504,18 +513,18 @@ def main(argv: list[str] | None = None) -> int:
         document = _load_document(args.job)
         overrides = {
             "command": args.command,
-            "coefficients": _split_floats(args.coeffs, "coeffs") if args.coeffs else None,
+            "coefficients": _flag(args.coeffs, "coeffs", many=True),
             "distribution": args.dist,
-            "alpha": args.alpha,
-            "p": _split_floats(args.p, "p") if args.p else None,
+            "alpha": _flag(args.alpha, "alpha"),
+            "p": _flag(args.p, "p", many=True),
             "engine": args.engine.split(",") if args.engine else None,
-            "samples": args.samples,
-            "seed": args.seed,
+            "samples": _flag(args.samples, "samples", int),
+            "seed": _flag(args.seed, "seed", int),
             "format": args.format,
             "checks": args.checks.split(",") if args.checks else None,
-            "iterations": args.iterations,
-            "nmax": args.nmax,
-            "gk_band": _split_floats(args.gk_band, "gk_band") if args.gk_band else None,
+            "iterations": _flag(args.iterations, "iterations", int),
+            "nmax": _flag(args.nmax, "nmax", int),
+            "gk_band": _flag(args.gk_band, "gk_band", many=True),
         }
         job = parse_job(document, overrides)
     except JobValidationError as exc:
@@ -524,8 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         status, records = run(job)
     except (JobValidationError, ValueError) as exc:
-        # ValueError: a domain error surfaced by an explicitly pinned engine
-        # (e.g. the Haagerup representation outside 2 < p < 4)
+        # ValueError: a domain error that no job field owns
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MomentBoundsError as exc:

@@ -11,11 +11,8 @@ Four families, all with log-concave tails:
 The module also owns the special-function contract (log-gamma to 1e-12
 relative on [0.5, 200]; Gamma ratios evaluated in log space, except the
 even single-variable moments, rounded once from exact values), the
-Gaussian p-norm gamma_p, and the moment recursion
-E|aE+b|^p = |b|^p + p(p-1)/2 * a^2 * E|aE+b|^{p-2} for the two-sided
-exponential.  Its base case for fractional orders is adaptive quadrature
-split at the kink of |a x + b|, to relative 1e-10; every step of the
-recursion adds nonnegative terms, so the whole moment keeps that bound.
+Gaussian p-norm gamma_p, the single-variable moments in closed form, and
+sampling.  Moments of sums live in summoments.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quadrature import integrate_adaptive
 
 __all__ = [
     "RADEMACHER",
@@ -43,7 +38,6 @@ __all__ = [
     "tail_probability",
     "single_abs_moment",
     "single_moment_rademacher",
-    "single_moment_exponential",
     "sample_array",
     "substream",
 ]
@@ -157,15 +151,6 @@ def _gaussian_log_moment(p: float) -> float:
     return (p / 2) * math.log(2.0) + log_gamma((p + 1) / 2) - 0.5 * math.log(math.pi)
 
 
-def exponential_abs_moment(p: float) -> float:
-    """E|E|^p = 2^{-p/2} Gamma(p+1) for the two-sided exponential, p >= 0."""
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p!r}")
-    if p == 0:
-        return 1.0
-    return math.exp(-0.5 * p * math.log(2.0) + log_gamma(p + 1.0))
-
-
 def single_abs_moment(d: DistributionSpec, p: float) -> float:
     """E|X|^p in closed form, p >= 0.
 
@@ -181,7 +166,8 @@ def single_abs_moment(d: DistributionSpec, p: float) -> float:
     if p % 2 == 0:
         return _even_abs_moment(d, int(p) // 2)
     if d.kind == SYM_EXPONENTIAL:
-        return exponential_abs_moment(p)
+        # E|E|^p = 2^{-p/2} Gamma(p+1)
+        return math.exp(-0.5 * p * math.log(2.0) + log_gamma(p + 1.0))
     if d.kind == GAUSSIAN:
         return math.exp(_gaussian_log_moment(p))
     # weibull: E|X|^p = b^p Gamma(1 + p/alpha)
@@ -210,60 +196,6 @@ def single_moment_rademacher(a: float, b: float, p: float) -> float:
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
     return 0.5 * (abs(a + b) ** p + abs(a - b) ** p)
-
-
-def single_moment_exponential(a: float, b: float, p: float) -> float:
-    """E|a E + b|^p for the two-sided exponential E.
-
-    For p >= 2 the exact recursion
-        E|aE+b|^p = |b|^p + p(p-1)/2 * a^2 * E|aE+b|^{p-2}
-    descends until the residual order lies in [0, 2); the base case is
-    adaptive quadrature against the density split at the kink, relative
-    error 1e-10, which the recursion's nonnegative terms keep.  b == 0
-    short-circuits to the closed form |a|^p 2^{-p/2} Gamma(p+1).
-    """
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p!r}")
-    a = float(a)
-    b = float(b)
-    if p == 0:
-        return 1.0
-    if a == 0.0:
-        return abs(b) ** p
-    if b == 0.0:
-        return abs(a) ** p * exponential_abs_moment(p)
-    if p >= 2:
-        return abs(b) ** p + 0.5 * p * (p - 1) * a * a * single_moment_exponential(a, b, p - 2)
-    return _exp_affine_moment_quadrature(a, b, p)
-
-
-# beyond this value of sqrt2 |b/a| the density at the kink, exp(-40), carries
-# no mass a double can see
-_KINK_NEGLIGIBLE = 40.0
-
-
-def _exp_affine_moment_quadrature(a: float, b: float, p: float) -> float:
-    """Quadrature core, a and b nonzero.  By the symmetry of E,
-
-        E|aE+b|^p = int_0^inf (|a x + b|^p + |a x - b|^p)/2 sqrt2 exp(-sqrt2 x) dx.
-
-    The range is split at the kink x = |b/a|, each piece to relative error
-    1e-10.  When the density at the kink is negligible a single
-    semi-infinite call covers the range: a finite piece [0, |b/a|] far wider
-    than the density would let QAGS miss the mass near 0 altogether.
-    """
-    aa = abs(a)
-    ab = abs(b)
-
-    def f(x: float) -> float:
-        return 0.5 * (abs(aa * x + ab) ** p + abs(aa * x - ab) ** p) * SQRT2 * math.exp(-SQRT2 * x)
-
-    kink = ab / aa
-    if SQRT2 * kink > _KINK_NEGLIGIBLE:
-        return integrate_adaptive(f, 0.0, math.inf, epsrel=1e-10)[0]
-    return integrate_adaptive(f, 0.0, kink, epsrel=1e-10)[0] + integrate_adaptive(
-        f, kink, math.inf, epsrel=1e-10
-    )[0]
 
 
 # --- sampling ---------------------------------------------------------------

@@ -66,7 +66,6 @@ __all__ = [
     "MomentEstimate",
     "even_sum_moment",
     "rademacher_sum_moment",
-    "laplace_residues",
     "laplace_sum_moment_exact",
     "laplace_sum_moment_recursion",
     "haagerup_moment",
@@ -453,19 +452,6 @@ def _residue_rows(a: np.ndarray) -> tuple[np.ndarray, list[MomentBoundsError | N
     return c, [refusal(i) for i in range(rows)]
 
 
-def laplace_residues(v: CoefficientVector):
-    """Residues c_i of prod_j 1/(1 + a_j^2 t^2/2) = sum_i c_i/(1 + a_i^2 t^2/2).
-
-    Requires all coefficients nonzero with pairwise-distinct squares
-    (relative gap >= PARTIAL_FRACTION_GAP).  Returns (canonical |a|, c).
-    """
-    y, (e,) = _canonical(v.as_array())
-    c, (refusal,) = _residue_rows(y)
-    if refusal is not None:
-        raise refusal
-    return np.ldexp(y[0], e), c[0]
-
-
 def _partial_fraction_rows(a: np.ndarray, p: float) -> tuple[np.ndarray, list[MomentBoundsError | None]]:
     """E|sum a_i E_i|^p = Gamma(p+1) sum_i c_i (|a_i|/sqrt2)^p for each row of
     a (rows, n) array of unit-scale canonical coefficients, with each row's
@@ -673,7 +659,7 @@ def _char_function_integral(
             poly = poly * s + coef[j]
         return (phi(t) - poly) * t ** (-p - 1.0)
 
-    body, abserr = integrate_adaptive(remainder, t0, cut, epsrel=1e-12)
+    body, abserr = integrate_adaptive(remainder, t0, cut)
     total = sum(series) + body - sum(closed_tail)
 
     def phi_part(t: float) -> float:
@@ -682,7 +668,7 @@ def _char_function_integral(
     def block(lo: float, epsabs: float) -> tuple[float, float]:
         # an oscillating phi_S needs subintervals in proportion to the length
         cap = max(DEFAULT_SUBDIVISION_CAP, int(lo) + 100)
-        return integrate_adaptive(phi_part, lo, 2.0 * lo, epsrel=1e-12, epsabs=epsabs, limit=cap)
+        return integrate_adaptive(phi_part, lo, 2.0 * lo, epsabs=epsabs, limit=cap)
 
     t_hi = cut
     while (phi_tail := envelope(t_hi) * t_hi**-p / p) > tail * abs(total):

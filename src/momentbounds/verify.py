@@ -52,11 +52,13 @@ __all__ = [
     "SEARCH_P_GRID",
     "SEARCH_P_RANGES",
     "DEFAULT_P_GRID",
+    "GK_BAND",
 ]
 
 NUMERICAL_SLACK = 1e-9
 COS_PRODUCT_SLACK = 1e-12
 DEFAULT_P_GRID = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0)
+GK_BAND = (1.0 / 20.0, 20.0)  # default band of the gk_ratio check
 COEFFICIENT_REGIMES = ("uniform", "geometric", "spiked")
 
 
@@ -396,7 +398,7 @@ def check_gk_ratio(
     p: float,
     seed: int,
     samples: int = 100_000,
-    band: tuple[float, float] = (1.0 / 20.0, 20.0),
+    band: tuple[float, float] = GK_BAND,
 ) -> VerificationReport:
     """Empirical two-sidedness of the Orlicz dual-norm functional:
     ||sum_{i<p} a_i X_i||_p / gk stays inside a configurable band (the
@@ -635,7 +637,7 @@ def suite(
     samples: int = 50_000,
     checks: Sequence[str] | None = None,
     p_grid: Sequence[float] | None = None,
-    gk_band: tuple[float, float] = (1.0 / 20.0, 20.0),
+    gk_band: tuple[float, float] = GK_BAND,
 ) -> list[VerificationReport]:
     """Run the named checks (default: all) over the default grids; one merged
     report per check, byte-reproducible from the seed."""

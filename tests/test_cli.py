@@ -160,6 +160,39 @@ def _assert_rejected_on(path, fields, tmp_path, capsys):
     assert out == ""
 
 
+_MOMENT_ARGV = ["moment", "--coeffs", "1,2", "--dist", "rademacher", "--p", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["moment", "--coeffs", "1,2", "--dist", "foo", "--p", "3"], "distribution"),
+        ([*_MOMENT_ARGV, "--format", "xml"], "format"),
+        ([*_MOMENT_ARGV, "--samples", "x"], "samples"),
+        ([*_MOMENT_ARGV, "--seed", "1.5"], "seed"),
+        ([*_MOMENT_ARGV, "--seed", "-1"], "seed"),
+        (["moment", "--coeffs", "1,2", "--dist", "weibullTail", "--alpha", "abc", "--p", "3"], "alpha"),
+        (["foo", *_MOMENT_ARGV[1:]], "command"),
+    ],
+)
+def test_bad_flag_values_are_rejected_on_their_field(argv, path, capsys):
+    # the same checks as for a job document: exit 1 with the field, no usage text
+    status, out, err = invoke(argv, capsys)
+    assert status == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}:")
+    assert out == ""
+
+
+def test_flag_values_parse_as_document_values(tmp_path, capsys):
+    argv = ["--dist", "weibullTail", "--alpha", "2", "--samples", "10000", "--seed", "5", "--engine", "monteCarlo"]
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({**_BASE_JOB, "distribution": "weibullTail", "alpha": 2.0, "samples": 10000, "seed": 5,
+                               "engine": ["monteCarlo"]}))
+    by_flags = invoke(["moment", "--coeffs", "1,2", "--p", "3", *argv], capsys)
+    assert by_flags[0] == cli.EXIT_OK
+    assert by_flags == invoke(["--job", str(doc)], capsys)
+
+
 _HUGE = 10**400  # a JSON integer no double holds
 
 
@@ -332,6 +365,14 @@ class TestMomentCommand:
         assert [r["method"] for r in recs] == ["partialFractions", "recursion", "haagerup"]
         vals = [r["raw_moment"] for r in recs]
         assert max(vals) - min(vals) <= 1e-6 * max(vals)
+
+    def test_pinned_engine_domain_error_names_its_order(self, capsys):
+        status, out, err = invoke(
+            ["moment", "--coeffs", "1,1", "--dist", "symExponential", "--p", "3,5", "--engine", "haagerup"], capsys
+        )
+        assert status == cli.EXIT_USAGE
+        assert err.startswith("error: p[1]: the Haagerup representation requires 2 < p < 4")
+        assert out == ""
 
     def test_degeneracy_without_fallback(self, capsys):
         status, _, err = invoke(

@@ -11,7 +11,6 @@ from momentbounds.dists import (
     log_gamma,
     sample_array,
     single_abs_moment,
-    single_moment_exponential,
     single_moment_rademacher,
     substream,
     tail_probability,
@@ -114,60 +113,6 @@ class TestSingleMomentRademacher:
         assert single_moment_rademacher(1, 1, 3) == 4.0
         assert single_moment_rademacher(2, 3, 2) == 13.0
 
-
-class TestSingleMomentExponential:
-    def test_closed_forms(self):
-        assert single_moment_exponential(1, 0, 2) == pytest.approx(1.0, rel=1e-14)
-        assert single_moment_exponential(1, 0, 4) == pytest.approx(6.0, rel=1e-13)
-        assert single_moment_exponential(1, 0, 3) == pytest.approx(3.0 / SQRT2, rel=1e-13)
-
-    def test_base_case_against_direct_quadrature(self):
-        got = single_moment_exponential(0.7, -1.3, 1.2)
-        want = oracles.exp_affine_moment_quad(0.7, -1.3, 1.2)
-        assert got == pytest.approx(want, rel=1e-9)
-
-    @pytest.mark.parametrize("p", [2.5, 3.0, 4.7, 6.0])
-    def test_recursion_identity_vs_quadrature(self, p):
-        # both sides computed by different routes: full recursion vs the
-        # identity with its inner moment from the oracle's direct quadrature
-        rng = np.random.default_rng(101)
-        for _ in range(12):
-            a = float(rng.uniform(-3, 3))
-            b = float(rng.uniform(-3, 3))
-            lhs = single_moment_exponential(a, b, p)
-            inner = oracles.exp_affine_moment_quad(a, b, p - 2)
-            rhs = abs(b) ** p + 0.5 * p * (p - 1) * a * a * inner
-            assert lhs == pytest.approx(rhs, rel=1e-8)
-
-    @pytest.mark.parametrize(
-        "a, b, p",
-        [
-            (-0.2122, 1.1295, 1.0),  # density at the kink below 1e-3
-            (-0.2122, 1.1295, 3.0),
-            (1e-6, 1.0, 0.5),  # tiny |a|: no mass at the kink
-            (1e-6, 1.0, 2.5),
-            (1.0, 1e-6, 0.5),  # tiny |b|: the kink next to the origin
-            (1.0, 1e-6, 3.7),
-        ],
-    )
-    def test_against_mpmath(self, a, b, p):
-        mpmath.mp.dps = 30
-        am, bm, pm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(p)
-        kink = abs(bm / am)
-        r2 = mpmath.sqrt(2)
-
-        def f(x):
-            # E|aE+b|^p as an integral over |E|, by the symmetry of E
-            return (abs(am * x + bm) ** pm + abs(am * x - bm) ** pm) / 2 * r2 * mpmath.exp(-r2 * x)
-
-        want = float(mpmath.quad(f, sorted({0, min(kink, 60), kink}) + [mpmath.inf]))
-        assert single_moment_exponential(a, b, p) == pytest.approx(want, rel=1e-9)
-
-    def test_stein_identity_fourth_moment(self):
-        # E f(E) = f(0) + E f''(E)/2 with f = x^4 gives E E^4 = 6
-        assert oracles.exponential_abs_moment_quad(4.0) == pytest.approx(6.0, rel=1e-10)
-        assert single_moment_exponential(1, 0, 4) == pytest.approx(6.0, rel=1e-12)
-
     def test_rec2_inequality_and_equality_case(self):
         rng = np.random.default_rng(33)
         for _ in range(60):
@@ -179,6 +124,27 @@ class TestSingleMomentExponential:
             assert lhs >= rhs - 1e-9 * max(1.0, rhs)
         lhs = single_moment_rademacher(1, 1, 3)
         assert lhs == pytest.approx(1 + 3.0, abs=1e-12)  # equality at (1,1,3)
+
+
+class TestSingleMomentExponential:
+    def test_closed_forms(self):
+        d = dists.sym_exponential()
+        assert single_abs_moment(d, 2) == pytest.approx(1.0, rel=1e-14)
+        assert single_abs_moment(d, 4) == pytest.approx(6.0, rel=1e-13)
+        assert single_abs_moment(d, 3) == pytest.approx(3.0 / SQRT2, rel=1e-13)
+
+    def test_stein_identity_fourth_moment(self):
+        # E f(E) = f(0) + E f''(E)/2 with f = x^4 gives E E^4 = 6
+        assert oracles.exponential_abs_moment_quad(4.0) == pytest.approx(6.0, rel=1e-10)
+        assert single_abs_moment(dists.sym_exponential(), 4) == pytest.approx(6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 5.5])
+def test_fractional_single_moments_against_quadrature(p):
+    assert single_abs_moment(dists.sym_exponential(), p) == pytest.approx(
+        oracles.exponential_abs_moment_quad(p), rel=1e-10
+    )
+    assert single_abs_moment(dists.gaussian(), p) == pytest.approx(oracles.gaussian_abs_moment_quad(p), rel=1e-10)
 
 
 def test_even_single_moments_are_exact():

@@ -142,7 +142,7 @@ class TestExtremality:
         d = dists.weibull_tail(3.0)
         left = 1.0
         mid = dists.single_abs_moment(d, 3.0)
-        right = dists.exponential_abs_moment(3.0)
+        right = dists.single_abs_moment(dists.sym_exponential(), 3.0)
         assert left <= mid <= right
         r = check_extremality(CV([1]), 3.0, 3.0, seed=4, samples=100_000)
         assert r.violations == 0
