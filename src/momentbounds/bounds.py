@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import coeffs, dists
 from .coeffs import CoefficientVector
@@ -231,6 +230,10 @@ class OrliczFunction:
             return bmax
         if d.kind == dists.WEIBULL_TAIL:
             return min(max(d.scale * (s * d.scale / d.alpha) ** (1.0 / (d.alpha - 1.0)), 1.0), bmax)
+        # Gaussian; imported here, so that importing the package leaves
+        # scipy.optimize unloaded
+        from scipy.optimize import brentq
+
         return float(brentq(lambda x: self.tail_exponent_slope(x) - s, 1.0, bmax))
 
 

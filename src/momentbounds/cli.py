@@ -311,9 +311,12 @@ def _run_verify(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
         if not checks:
             _fail("checks", f"no suite checks among {job.checks!r}")
     band = tuple(job.gk_band) if job.gk_band else verify.GK_BAND
-    reports = verify.suite(
-        job.seed, samples=job.samples, checks=checks, p_grid=job.p, gk_band=band
-    )
+    try:
+        reports = verify.suite(job.seed, samples=job.samples, checks=checks, p_grid=job.p, gk_band=band)
+    except JobValidationError as exc:
+        if exc.field != "p_grid":
+            raise
+        _fail("p", exc.message)
     records = []
     violations = 0
     for rep in reports:

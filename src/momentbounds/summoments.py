@@ -570,32 +570,26 @@ def _char_functions(law: str, b: float, y: np.ndarray):
     |1 - 2x D(x)| <= min(1, 1/x^2), and E cosh(u X) = 1 + sqrt(pi) x e^{x^2}
     erf(x) is entire."""
     if law == dists.RADEMACHER:
-        # a plain loop: the tail blocks take thousands of evaluations, and
-        # numpy's per-call overhead dominates at this n
-        ys = [float(x) for x in y]
 
-        def phi(t: float) -> float:
-            prod = 1.0
-            for x in ys:
-                prod *= math.cos(x * t)
-            return prod
+        def phi(t):
+            return np.cos(np.multiply.outer(t, y)).prod(-1)
 
         return phi, lambda t: 1.0, lambda t: float(np.prod(np.cosh(y * t))), math.inf
     if law == dists.SYM_EXPONENTIAL:
         h = 0.5 * y * y
 
-        def phi(t: float) -> float:
-            return math.exp(-float(np.sum(np.log1p(h * (t * t)))))
+        def phi(t):
+            return np.exp(-np.log1p(np.multiply.outer(t * t, h)).sum(-1))
 
         def mgf(t: float) -> float:
             return math.exp(-float(np.sum(np.log1p(-h * (t * t)))))
 
-        return phi, phi, mgf, 1.0 / float(y[0])
+        return phi, lambda t: float(phi(t)), mgf, 1.0 / float(y[0])
     c = 0.5 * b * y
 
-    def phi(t: float) -> float:
-        x = c * t
-        return float(np.prod(1.0 - 2.0 * x * special.dawsn(x)))
+    def phi(t):
+        x = np.multiply.outer(t, c)
+        return (1.0 - 2.0 * x * special.dawsn(x)).prod(-1)
 
     def envelope(t: float) -> float:
         return math.exp(-2.0 * float(np.sum(np.log(np.maximum(c * t, 1.0)))))
@@ -652,7 +646,7 @@ def _char_function_integral(
             f"above {tolerance:g} at p={p!r}: the Taylor subtraction cancels"
         )
 
-    def remainder(t: float) -> float:
+    def remainder(t: np.ndarray) -> np.ndarray:
         s = t * t
         poly = coef[m]
         for j in range(m - 1, -1, -1):
@@ -662,24 +656,16 @@ def _char_function_integral(
     body, abserr = integrate_adaptive(remainder, t0, cut)
     total = sum(series) + body - sum(closed_tail)
 
-    def phi_part(t: float) -> float:
+    def phi_part(t: np.ndarray) -> np.ndarray:
         return phi(t) * t ** (-p - 1.0)
-
-    def block(lo: float, epsabs: float) -> tuple[float, float]:
-        # an oscillating phi_S needs subintervals in proportion to the length
-        cap = max(DEFAULT_SUBDIVISION_CAP, int(lo) + 100)
-        return integrate_adaptive(phi_part, lo, 2.0 * lo, epsabs=epsabs, limit=cap)
 
     t_hi = cut
     while (phi_tail := envelope(t_hi) * t_hi**-p / p) > tail * abs(total):
         if t_hi >= _LAST_BLOCK:
             raise QuadratureError("the characteristic function's tail did not close below 2^60")
-        try:
-            piece, err = block(t_hi, tail * abs(total))
-        except QuadratureError:
-            # QAGS's extrapolation gives up on an oscillating tail at some
-            # tolerances and not at others; a tighter request subdivides further
-            piece, err = block(t_hi, 0.01 * tail * abs(total))
+        # an oscillating phi_S needs subintervals in proportion to the length
+        cap = max(DEFAULT_SUBDIVISION_CAP, int(t_hi) + 100)
+        piece, err = integrate_adaptive(phi_part, t_hi, 2.0 * t_hi, epsabs=tail * abs(total), limit=cap)
         total += piece
         abserr += err
         t_hi *= 2.0
@@ -727,21 +713,21 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
     * below t0 the integrand is the Taylor series of phi_S - P_m, integrated
       term by term for j = m+1 .. m+13.  Every Taylor coefficient is at most
       E cosh(t1 S) / t1^{2j}, which bounds the omitted terms;
-    * on [t0, 2 t1] QUADPACK integrates (phi_S - P_m) t^{-p-1};
-    * past 2 t1 the polynomial P_m goes in closed form, and QUADPACK
+    * on [t0, 2 t1] the adaptive Gauss-Kronrod rule of
+      quadrature.integrate_adaptive integrates (phi_S - P_m) t^{-p-1};
+    * past 2 t1 the polynomial P_m goes in closed form, and the same rule
       integrates phi_S t^{-p-1} on doubling blocks [T, 2T] until the bound
       sup_{t>=T} |phi_S(t)| T^{-p}/p on the rest is below 1e-15 of the
-      integral.  A block that QUADPACK does not converge is retried once
-      at 1/100 of its absolute tolerance.
+      integral.
 
-    Rigor: tolerance(eps), where eps is the sum of QUADPACK's error
+    Rigor: tolerance(eps), where eps is the sum of the rule's error
     estimates, the series truncation bound, the phi-tail bound and a bound
     on the rounding of phi_S - P_m and of the closed-form pieces, over the
     integral, plus 16 ulps for the final products.  Refuses
     (EngineCapacityError) an even integer p, a law without a closed-form
     phi_S, eps above CHAR_FUNCTION_TOLERANCE (at large p the pieces cancel),
     and work of _even_levels above EVEN_MOMENT_CAP; QuadratureError when a
-    quadrature does not converge (after the retry, on a block).
+    quadrature does not converge.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")

@@ -621,6 +621,20 @@ def search_counterexamples(config: SearchConfig) -> VerificationReport:
 
 
 SUITE_CHECKS = ("cos_product", "comp2", "p24", "extremality", "sandwich", "gk_ratio")
+# the orders p at which each suite check runs cases (sandwich runs the
+# Weibull law from p = 3 only)
+_SUITE_P_RANGES = {
+    "comp2": (2.0, math.inf),
+    "p24": (2.0, 4.0),
+    "extremality": (3.0, math.inf),
+    "sandwich": (2.0, math.inf),
+    "gk_ratio": (3.0, math.inf),
+}
+
+
+def _suite_orders(check: str, ps: Sequence[float]) -> list[float]:
+    lo, hi = _SUITE_P_RANGES[check]
+    return [x for x in ps if lo <= x <= hi]
 
 
 def _suite_vectors(rng: np.random.Generator, sizes: Sequence[int]) -> list[CoefficientVector]:
@@ -640,12 +654,17 @@ def suite(
     gk_band: tuple[float, float] = GK_BAND,
 ) -> list[VerificationReport]:
     """Run the named checks (default: all) over the default grids; one merged
-    report per check, byte-reproducible from the seed."""
+    report per check, byte-reproducible from the seed.  A check left with
+    no order of p_grid in its range is refused (JobValidationError on
+    p_grid) before any check runs."""
     wanted = tuple(checks) if checks is not None else SUITE_CHECKS
+    ps = tuple(p_grid) if p_grid is not None else DEFAULT_P_GRID
     for c in wanted:
         if c not in SUITE_CHECKS:
             raise ValueError(f"unknown check {c!r}; available: {SUITE_CHECKS}")
-    ps = tuple(p_grid) if p_grid is not None else DEFAULT_P_GRID
+        if c in _SUITE_P_RANGES and not _suite_orders(c, ps):
+            lo, hi = _SUITE_P_RANGES[c]
+            raise JobValidationError("p_grid", f"{c} needs p in [{lo:g}, {hi:g}], got {list(ps)}")
     reports = []
     for check in SUITE_CHECKS:
         if check not in wanted:
@@ -659,18 +678,18 @@ def suite(
                 subs.append(check_cos_product(coeffs.rearrange(v), default_t_grid(rng), seed))
         elif check == "comp2":
             for v in _suite_vectors(rng, (1, 3, 6, 8)):
-                for p in [x for x in ps if x >= 2]:
+                for p in _suite_orders(check, ps):
                     subs.append(check_comparison_chain(v, p, case_seed, samples))
                     case_seed += 7
         elif check == "p24":
             for v in _suite_vectors(rng, (1, 3, 6, 8)):
-                for p in [x for x in ps if 2 <= x <= 4]:
+                for p in _suite_orders(check, ps):
                     subs.append(check_p24_comparison(coeffs.rearrange(v), p, case_seed, samples))
                     case_seed += 7
         elif check == "extremality":
             for alpha in (1.0, 1.5, 2.0, 3.0):
                 for v in _suite_vectors(rng, (2, 6)):
-                    for p in [x for x in ps if x >= 3][:3]:
+                    for p in _suite_orders(check, ps)[:3]:
                         subs.append(check_extremality(v, alpha, p, case_seed, samples))
                         case_seed += 7
         elif check == "sandwich":
@@ -687,7 +706,7 @@ def suite(
         elif check == "gk_ratio":
             for d in (dists.sym_exponential(), dists.weibull_tail(2.0)):
                 for v in _suite_vectors(rng, (3, 6)):
-                    for p in [x for x in ps if x >= 3][:3]:
+                    for p in _suite_orders(check, ps)[:3]:
                         subs.append(check_gk_ratio(v, d, p, case_seed, samples, gk_band))
                         case_seed += 7
         reports.append(merge_reports(subs, check, seed))

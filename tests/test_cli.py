@@ -253,7 +253,7 @@ class TestMissingSeedOnFallback:
 class TestEngineFailureExitCodes:
     def test_quadrature_failure_exits_capacity(self, capsys, monkeypatch):
         # no input is known to defeat the Haagerup tail quadrature, so the
-        # integrator fails here as QUADPACK does
+        # integrator fails here as a non-converging quadrature does
         def diverges(f, a, b, **_):
             raise QuadratureError(f"adaptive quadrature on [{a!r}, {b!r}] did not converge")
 
@@ -614,6 +614,22 @@ class TestVerifyCommand:
         )
         assert status == cli.EXIT_USAGE
         assert "checks" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--p", "5", "--checks", "p24"], "p24 needs p in [2, 4], got [5.0]"),
+            (["--p", "1.5", "--checks", "comp2", "--format", "csv"], "comp2 needs p in [2, inf], got [1.5]"),
+            (["--p", "2.5"], "extremality needs p in [3, inf], got [2.5]"),
+        ],
+    )
+    def test_check_without_orders_is_rejected_on_p(self, argv, message, capsys):
+        # a check with no order in its range would run no case and report
+        # worst_margin inf, which neither format carries
+        status, out, err = invoke(["verify", "--seed", "1", *argv], capsys)
+        assert status == cli.EXIT_USAGE
+        assert err == f"error: p: {message}\n"
+        assert out == ""
 
 
 class TestSearchCommand:
