@@ -22,11 +22,14 @@ M_i(x) = x^2 for |x| <= 1 and M_i(x) = -ln P(|X_i| >= |x|) for |x| > 1 is
 solved by Lagrange-multiplier bisection on the budget, treating the jump of
 M at |x| = 1 as a kink (both one-sided candidates evaluated, ties resolved
 toward the largest maximizer), plus an exact budget top-up pass for the
-discontinuous-budget case.
+discontinuous-budget case.  Each candidate regime pins every coordinate to
+one piece of M; per cost the tail piece goes to a prefix of that cost's
+coordinates sorted by |a|, so n_c coordinates of cost c give n_c + 1 choices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -169,15 +172,6 @@ class OrliczFunction:
         tp = dists.tail_probability(self.dist, x)
         return math.inf if tp == 0.0 else -math.log(tp)
 
-    def tail_piece_entry_cost(self) -> float:
-        """lim_{x -> 1+} N(x): the cost of entering the |x| > 1 piece.
-
-        Infinite for Rademacher (its tail piece is empty), N(1) otherwise.
-        """
-        if self.dist.kind == dists.RADEMACHER:
-            return math.inf
-        return self.tail_exponent(1.0)
-
     def __call__(self, x: float) -> float:
         ax = abs(x)
         return ax * ax if ax <= 1.0 else self.tail_exponent(ax)
@@ -237,38 +231,40 @@ class OrliczFunction:
         return float(brentq(lambda x: self.tail_exponent_slope(x) - s, 1.0, bmax))
 
 
-_GK_SUBSET_CAP = 16
+# the most regimes gk_dual_norm tries: 2^16, i.e. 16 laws of one coordinate each
+_GK_REGIME_CAP = 1 << 16
 
 
-def _gk_regimes(a: np.ndarray, M: Sequence[OrliczFunction], order: list[int]):
+def _gk_regimes(a: np.ndarray, M: Sequence[OrliczFunction]):
     """Regime assignments to try: which coordinates sit on the tail piece
     (b > 1) versus the quadratic piece (b <= 1).
 
-    With identical costs an optimal solution allocates monotonically in |a|
-    (exchange argument), so the tail set can be taken as a prefix of the
-    coefficients sorted by |a|; heterogeneous costs fall back to all subsets.
+    Among coordinates of one cost an optimal solution gives the tail piece
+    to the larger |a| (exchange argument), so per cost the tail set is a
+    prefix of its coordinates sorted by |a|, and only the empty one for a
+    cost without a tail piece (Rademacher).  The regimes are the products of
+    those prefixes, refused past _GK_REGIME_CAP of them.
     """
-    n = len(a)
-    identical = all(mi.dist == M[0].dist for mi in M)
-    if identical:
-        for k in range(n + 1):
-            yield frozenset(order[:k])
-    elif n <= _GK_SUBSET_CAP:
-        for mask in range(1 << n):
-            yield frozenset(i for i in range(n) if mask >> i & 1)
-    else:
-        raise UnboundedSupremumError(
-            f"heterogeneous Orlicz costs supported only up to n={_GK_SUBSET_CAP}"
-        )
+    groups: dict[DistributionSpec, list[int]] = {}
+    for i in sorted(range(len(a)), key=lambda i: -a[i]):
+        groups.setdefault(M[i].dist, []).append(i)
+    prefixes = []
+    for idx in groups.values():
+        has_tail = math.isfinite(M[idx[0]].tail_exponent_slope(1.0))
+        prefixes.append([idx[:k] for k in range(len(idx) + 1 if has_tail else 1)])
+    if math.prod(map(len, prefixes)) > _GK_REGIME_CAP:
+        raise UnboundedSupremumError(f"the Orlicz costs give more than {_GK_REGIME_CAP} tail regimes to try")
+    for choice in itertools.product(*prefixes):
+        yield frozenset(itertools.chain.from_iterable(choice))
 
 
 def _gk_solve_regime(
-    a: np.ndarray, M: Sequence[OrliczFunction], p: float, tail_set: frozenset[int]
+    a: np.ndarray, M: Sequence[OrliczFunction], p: float, caps: Sequence[float], tail_set: frozenset[int]
 ) -> float | None:
     """Exact optimum with each coordinate pinned to one piece of M.
 
     Quad coordinates take b in [0, 1] at cost b^2; tail coordinates take
-    b in [1, bmax] at cost N(b) (convex), so the restricted problem is
+    b in [1, caps[i]] at cost N(b) (convex), so the restricted problem is
     concave and multiplier bisection is exact.  Linear tail segments
     (constant N') make the budget jump at the critical multiplier; the
     remainder is then spent in closed form on the best coordinate, which is
@@ -276,16 +272,12 @@ def _gk_solve_regime(
     """
     n = len(a)
     in_tail = [i in tail_set for i in range(n)]
-    for i in tail_set:
-        if not math.isfinite(M[i].tail_piece_entry_cost()):
-            return None  # no tail piece (Rademacher)
-    bmax = [M[i].largest_sublevel(p) if in_tail[i] else 1.0 for i in range(n)]
 
     def allocate(lam: float) -> tuple[list[float], list[float], float]:
         bs, ms = [], []
         for i in range(n):
             if in_tail[i]:
-                b = M[i].slope_inverse(float(a[i]) / lam, bmax[i])
+                b = M[i].slope_inverse(float(a[i]) / lam, caps[i])
                 mval = M[i].tail_exponent(b)
             else:
                 b = min(max(float(a[i]) / (2.0 * lam), 0.0), 1.0)
@@ -295,9 +287,8 @@ def _gk_solve_regime(
         return bs, ms, float(sum(ms))
 
     lo, hi = 1e-30, 1e30
-    _, _, g_max = allocate(lo)
+    bs, _, g_max = allocate(lo)
     if g_max <= p:  # budget cannot be filled: caps are optimal
-        bs, _, _ = allocate(lo)
         return float(np.dot(a, bs))
     _, _, g_min = allocate(hi)
     if g_min > p + 1e-12:
@@ -325,7 +316,7 @@ def _gk_solve_regime(
                 b_new = M[i].tail_exponent_inverse(ms[i] + remaining)
                 if b_new is None:
                     continue
-                b_new = min(b_new, bmax[i])
+                b_new = min(b_new, caps[i])
                 m_new = M[i].tail_exponent(b_new)
             else:
                 b_new = min(math.sqrt(ms[i] + remaining), 1.0)
@@ -358,13 +349,12 @@ def gk_dual_norm(v: CoefficientVector, M: Sequence[OrliczFunction], p: float) ->
     a = np.abs(v.as_array())
     if len(a) == 0 or float(a.max()) == 0.0:
         return 0.0
-    for mi in M:
-        if not math.isfinite(mi.largest_sublevel(p)):
-            raise UnboundedSupremumError("a coordinate's sublevel set is unbounded")
-    order = sorted(range(len(a)), key=lambda i: -a[i])
+    caps = [mi.largest_sublevel(p) for mi in M]
+    if not all(map(math.isfinite, caps)):
+        raise UnboundedSupremumError("a coordinate's sublevel set is unbounded")
     best = 0.0
-    for tail_set in _gk_regimes(a, M, order):
-        val = _gk_solve_regime(a, M, p, tail_set)
+    for tail_set in _gk_regimes(a, M):
+        val = _gk_solve_regime(a, M, p, caps, tail_set)
         if val is not None and val > best:
             best = val
     return best

@@ -480,7 +480,7 @@ def _load_document(path: str | None) -> dict | None:
         return None
     try:
         raw = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail("job", f"cannot read document: {exc}")
     try:
         doc = json.loads(raw)
@@ -555,8 +555,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAPACITY
     payload = buffer.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: out: cannot write records: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(payload)
     return status

@@ -550,11 +550,6 @@ CHAR_FUNCTION_TOLERANCE = 1e-10
 _SERIES_TERMS = 13
 _LAST_BLOCK = 2.0**60
 _UNIT_ROUNDOFF = 2.0**-53
-# (tail cut, largest eps reported) of charFunction and of haagerup: the
-# doubling blocks stop once the phi-tail bound is below the cut times the
-# integral, and haagerup's product of cosines closes as T^{-p} only
-_CHAR_FUNCTION_LIMITS = (1e-15, CHAR_FUNCTION_TOLERANCE)
-_HAAGERUP_LIMITS = (1e-8, 1e-6)
 
 
 def _char_functions(law: str, b: float, y: np.ndarray):
@@ -607,13 +602,15 @@ def _power_integral(k: int, p: float, lo: float, hi: float) -> float:
 
 
 def _char_function_integral(
-    law: str, b: float, y: np.ndarray, mom: list[float], p: float, limits=_CHAR_FUNCTION_LIMITS
+    law: str, b: float, y: np.ndarray, mom: list[float], p: float
 ) -> tuple[float, float]:
     """E|S|^p and its relative error bound for S = sum y_i X_i, max |y_i| in
     [1/2, 1), with levels mom[j] = E S^{2j}, j <= p/2 + 13: the numerics and
-    refusals of char_function_moment, with its (tail, tolerance) limits;
-    past the float range OverflowError."""
-    tail, tolerance = limits
+    refusals of char_function_moment; past the float range OverflowError."""
+    # the doubling blocks stop once the phi-tail bound is below `tail` times
+    # the integral, and eps above `tolerance` is refused; a product of
+    # cosines does not decay, so Rademacher closes as T^{-p} only
+    tail, tolerance = (1e-8, 1e-6) if law == dists.RADEMACHER else (1e-15, CHAR_FUNCTION_TOLERANCE)
     n = len(y)
     m = int(p) // 2
     top = m + _SERIES_TERMS
@@ -678,9 +675,7 @@ def _char_function_integral(
     return c_p * total, eps
 
 
-def _char_function_estimate(
-    v: CoefficientVector, d: DistributionSpec, p: float, method: str, limits=_CHAR_FUNCTION_LIMITS
-) -> MomentEstimate:
+def _char_function_estimate(v: CoefficientVector, d: DistributionSpec, p: float, method: str) -> MomentEstimate:
     """The path of char_function_moment and haagerup_moment: the integral of
     _char_function_integral on the unit-scale vector."""
     (y,), (e,) = _canonical(v.as_array())
@@ -689,7 +684,7 @@ def _char_function_estimate(
         return MomentEstimate.scaled(p, 0.0, None, method, Rigor.tolerance(_UNIT_ROUNDOFF))
     try:
         mom = _even_levels(y, d, int(p) // 2 + _SERIES_TERMS)
-        value, eps = _char_function_integral(engine_law(d), d.scale, y, mom, p, limits)
+        value, eps = _char_function_integral(engine_law(d), d.scale, y, mom, p)
     except OverflowError as exc:
         raise EngineCapacityError(f"{method} overflows the float range: {exc}") from None
     return MomentEstimate.scaled(p, value, e, method, Rigor.tolerance(eps))
@@ -745,15 +740,16 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
 def haagerup_moment(v: CoefficientVector, kind: str, p: float) -> MomentEstimate:
     """E|S|^p = C_p int_0^inf (phi_S(t) - 1 + t^2 E S^2/2) t^{-p-1} dt for
     2 < p < 4 strictly (Haagerup's representation): char_function_moment at
-    m = 1 for Rademacher and two-sided exponential sums, with the doubling
-    blocks stopping at 1e-8 of the integral (a product of cosines does not
-    decay) and eps refused above 1e-6."""
+    m = 1 for Rademacher and two-sided exponential sums, with the tail cut
+    and eps ceiling of the law: for Rademacher the doubling blocks stop at
+    1e-8 of the integral (a product of cosines does not decay) and eps is
+    refused above 1e-6, while the exponential sum gets charFunction's."""
     if not 2.0 < p < 4.0:
         raise ValueError(f"the Haagerup representation requires 2 < p < 4, got {p!r}")
     if kind not in ENGINES["haagerup"].laws:
         raise ValueError(f"haagerup_moment supports rademacher/symExponential, got {kind!r}")
     d = dists.rademacher() if kind == dists.RADEMACHER else dists.sym_exponential()
-    return _char_function_estimate(v, d, p, "haagerup", _HAAGERUP_LIMITS)
+    return _char_function_estimate(v, d, p, "haagerup")
 
 
 # --- Monte Carlo ---------------------------------------------------------------

@@ -50,7 +50,7 @@ __all__ = [
     "SUITE_CHECKS",
     "SEARCH_CHECKS",
     "SEARCH_P_GRID",
-    "SEARCH_P_RANGES",
+    "CHECK_P_RANGES",
     "DEFAULT_P_GRID",
     "GK_BAND",
 ]
@@ -425,8 +425,16 @@ def check_gk_ratio(
 
 SEARCH_CHECKS = ("cos_product", "comp2", "p24", "rec2")
 SEARCH_P_GRID = (2.5, 3.0, 4.0, 6.0)
-# the orders p at which each searched inequality is proved
-SEARCH_P_RANGES = {"comp2": (2.0, math.inf), "p24": (2.0, 4.0), "rec2": (3.0, math.inf)}
+# the orders p at which each searched inequality is proved and each suite
+# check runs cases (sandwich runs the Weibull law from p = 3 only)
+CHECK_P_RANGES = {
+    "comp2": (2.0, math.inf),
+    "p24": (2.0, 4.0),
+    "rec2": (3.0, math.inf),
+    "extremality": (3.0, math.inf),
+    "sandwich": (2.0, math.inf),
+    "gk_ratio": (3.0, math.inf),
+}
 # iterations of one hill-climbing chain: a fresh instance, then perturbations
 # of the best state the chain has found
 _CHAIN = 25
@@ -453,14 +461,18 @@ class SearchConfig:
         # the rules of a search job, refused with the field they concern
         if self.check in ("comp2", "p24") and self.n_max > (cap := summoments.ENUMERATION_CAP):
             raise JobValidationError("n_max", f"the {self.check} search enumerates up to n = {cap}, got {self.n_max}")
-        if self.check in SEARCH_P_RANGES and not self.orders():
-            lo, hi = SEARCH_P_RANGES[self.check]
-            raise JobValidationError("p_grid", f"{self.check} needs p in [{lo:g}, {hi:g}], got {list(self.p_grid)}")
+        if self.check in CHECK_P_RANGES:
+            _check_orders(self.check, self.p_grid)
 
-    def orders(self) -> list[float]:
-        """The orders of p_grid at which the check's inequality is proved."""
-        lo, hi = SEARCH_P_RANGES[self.check]
-        return [x for x in self.p_grid if lo <= x <= hi]
+
+def _check_orders(check: str, ps: Sequence[float]) -> list[float]:
+    """The orders of ps in the check's CHECK_P_RANGES range; refused
+    (JobValidationError on p_grid) when there are none."""
+    lo, hi = CHECK_P_RANGES[check]
+    orders = [x for x in ps if lo <= x <= hi]
+    if not orders:
+        raise JobValidationError("p_grid", f"{check} needs p in [{lo:g}, {hi:g}], got {list(ps)}")
+    return orders
 
 
 class _Chain(NamedTuple):
@@ -488,7 +500,7 @@ def _draw_chain(cfg: SearchConfig, rng: np.random.Generator, length: int) -> _Ch
         n = int(rng.integers(1, cfg.n_max + 1))
         start = coeffs.rearrange(sample_coefficient_vector(rng, n)).as_array()
     if cfg.check != "cos_product":
-        p = float(rng.choice(cfg.orders()))
+        p = float(rng.choice(_check_orders(cfg.check, cfg.p_grid)))
         return _Chain(start, p, rng.standard_normal((length - 1, len(start))), np.empty((length, 0)))
     normals = np.empty((length - 1, len(start)))
     points = np.empty((length, 32))
@@ -621,22 +633,6 @@ def search_counterexamples(config: SearchConfig) -> VerificationReport:
 
 
 SUITE_CHECKS = ("cos_product", "comp2", "p24", "extremality", "sandwich", "gk_ratio")
-# the orders p at which each suite check runs cases (sandwich runs the
-# Weibull law from p = 3 only)
-_SUITE_P_RANGES = {
-    "comp2": (2.0, math.inf),
-    "p24": (2.0, 4.0),
-    "extremality": (3.0, math.inf),
-    "sandwich": (2.0, math.inf),
-    "gk_ratio": (3.0, math.inf),
-}
-
-
-def _suite_orders(check: str, ps: Sequence[float]) -> list[float]:
-    lo, hi = _SUITE_P_RANGES[check]
-    return [x for x in ps if lo <= x <= hi]
-
-
 def _suite_vectors(rng: np.random.Generator, sizes: Sequence[int]) -> list[CoefficientVector]:
     out = []
     for n in sizes:
@@ -662,9 +658,8 @@ def suite(
     for c in wanted:
         if c not in SUITE_CHECKS:
             raise ValueError(f"unknown check {c!r}; available: {SUITE_CHECKS}")
-        if c in _SUITE_P_RANGES and not _suite_orders(c, ps):
-            lo, hi = _SUITE_P_RANGES[c]
-            raise JobValidationError("p_grid", f"{c} needs p in [{lo:g}, {hi:g}], got {list(ps)}")
+        if c in CHECK_P_RANGES:
+            _check_orders(c, ps)
     reports = []
     for check in SUITE_CHECKS:
         if check not in wanted:
@@ -678,18 +673,18 @@ def suite(
                 subs.append(check_cos_product(coeffs.rearrange(v), default_t_grid(rng), seed))
         elif check == "comp2":
             for v in _suite_vectors(rng, (1, 3, 6, 8)):
-                for p in _suite_orders(check, ps):
+                for p in _check_orders(check, ps):
                     subs.append(check_comparison_chain(v, p, case_seed, samples))
                     case_seed += 7
         elif check == "p24":
             for v in _suite_vectors(rng, (1, 3, 6, 8)):
-                for p in _suite_orders(check, ps):
+                for p in _check_orders(check, ps):
                     subs.append(check_p24_comparison(coeffs.rearrange(v), p, case_seed, samples))
                     case_seed += 7
         elif check == "extremality":
             for alpha in (1.0, 1.5, 2.0, 3.0):
                 for v in _suite_vectors(rng, (2, 6)):
-                    for p in _suite_orders(check, ps)[:3]:
+                    for p in _check_orders(check, ps)[:3]:
                         subs.append(check_extremality(v, alpha, p, case_seed, samples))
                         case_seed += 7
         elif check == "sandwich":
@@ -706,7 +701,7 @@ def suite(
         elif check == "gk_ratio":
             for d in (dists.sym_exponential(), dists.weibull_tail(2.0)):
                 for v in _suite_vectors(rng, (3, 6)):
-                    for p in _suite_orders(check, ps)[:3]:
+                    for p in _check_orders(check, ps)[:3]:
                         subs.append(check_gk_ratio(v, d, p, case_seed, samples, gk_band))
                         case_seed += 7
         reports.append(merge_reports(subs, check, seed))

@@ -9,6 +9,7 @@ from momentbounds import dists
 from momentbounds.bounds import (
     BoundInterval,
     OrliczFunction,
+    _gk_solve_regime,
     comp2_bounds,
     exponential_bounds,
     gaussian_approx_gap,
@@ -19,6 +20,7 @@ from momentbounds.bounds import (
 )
 from momentbounds.coeffs import CoefficientVector
 from momentbounds.dists import gamma_p
+from momentbounds.errors import UnboundedSupremumError
 from momentbounds.summoments import (
     laplace_sum_moment_recursion,
     rademacher_sum_moment,
@@ -233,3 +235,62 @@ class TestGkDualNorm:
         m = OrliczFunction(dists.sym_exponential())
         with pytest.raises(ValueError):
             gk_dual_norm(CV([1, 2]), [m], 3)
+
+
+class TestGkRegimes:
+    LAWS = [
+        dists.rademacher(),
+        dists.sym_exponential(),
+        dists.gaussian(),
+        dists.weibull_tail(1.0),
+        dists.weibull_tail(1.5),
+        dists.weibull_tail(3.0),
+    ]
+
+    def test_per_cost_prefixes_match_every_tail_set(self):
+        # the regime rule against the maximum over all 2^n tail sets
+        rng = np.random.default_rng(15)
+        for _ in range(80):
+            n = int(rng.integers(1, 9))
+            a = rng.uniform(0.05, 2.0, n) * rng.choice([-1, 1], n)
+            a[rng.random(n) < 0.15] = 0.0
+            if n > 1 and rng.random() < 0.4:
+                a[int(rng.integers(0, n))] = a[int(rng.integers(0, n))]  # a tie
+            pool = [self.LAWS[int(i)] for i in rng.choice(len(self.LAWS), int(rng.integers(2, 4)), replace=False)]
+            Ms = [OrliczFunction(pool[int(rng.integers(0, len(pool)))]) for _ in range(n)]
+            p = float(rng.choice([1.0, 2.0, 3.0, 4.5, 8.0]))
+            abs_a = np.abs(a)
+            caps = [m.largest_sublevel(p) for m in Ms]
+            # Rademacher has no tail piece, so its coordinates never join a tail set
+            tailed = [i for i in range(n) if Ms[i].dist.kind != dists.RADEMACHER]
+            values = [_gk_solve_regime(abs_a, Ms, p, caps, frozenset(s)) for s in _subsets(tailed)]
+            want = max([0.0] + [x for x in values if x is not None])
+            got = gk_dual_norm(CV(a), Ms, p)
+            keys = [(m.dist, x) for m, x in zip(Ms, abs_a)]
+            if len(set(keys)) == n:
+                assert got == want
+            else:
+                # tied coordinates of one cost are exchangeable: the regimes that
+                # differ in which of them is on the tail piece are equal but for the
+                # order of rounding, so the maximum over all tail sets may be an ulp up
+                assert want * (1.0 - 2.0**-52) <= got <= want
+
+    def test_two_law_mix_past_sixteen_coordinates(self):
+        rng = np.random.default_rng(20)
+        a = rng.uniform(0.1, 1.0, 20)
+        Ms = [OrliczFunction(dists.sym_exponential())] * 10 + [OrliczFunction(dists.weibull_tail(2.0))] * 10
+        p = 4.0
+        got = gk_dual_norm(CV(a), Ms, p)
+        tops = a * np.array([m.largest_sublevel(p) for m in Ms])
+        assert float(tops.max()) * (1.0 - 1e-12) <= got <= float(tops.sum())
+        for lam in (0.3, 7.0):
+            assert gk_dual_norm(CV(lam * a), Ms, p) == pytest.approx(lam * got, rel=1e-9)
+
+    def test_too_many_regimes_refused(self):
+        Ms = [OrliczFunction(dists.weibull_tail(1.0 + k / 8.0)) for k in range(17)]
+        with pytest.raises(UnboundedSupremumError, match="regimes"):
+            gk_dual_norm(CV([1.0] * 17), Ms, 3.0)
+
+
+def _subsets(items):
+    return [[x for k, x in enumerate(items) if mask >> k & 1] for mask in range(1 << len(items))]

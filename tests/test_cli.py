@@ -719,6 +719,17 @@ class TestOutputFormats:
         rec = json.loads(target.read_text().strip())
         assert rec["value"] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out_is_rejected_on_out(self, where, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "x" if where == "missing" else tmp_path
+        status, out, err = invoke(
+            ["moment", "--coeffs", "1", "--dist", "rademacher", "--p", "3", "--out", str(target)],
+            capsys,
+        )
+        assert status == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: out: ")
+
 
 class TestJobDocument:
     def test_document_from_file(self, tmp_path, capsys):
@@ -734,6 +745,14 @@ class TestJobDocument:
         assert status == cli.EXIT_OK
         (rec,) = records_of(out)
         assert rec["raw_moment"] == 21.0
+
+    def test_non_utf8_document_is_rejected_on_job(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_bytes(b'{"command": "moment", "distribution": "\xff"}')
+        status, out, err = invoke(["--job", str(path)], capsys)
+        assert status == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: job: ")
 
     def test_digest_stable_across_formats(self, capsys):
         argv = ["moment", "--coeffs", "1,1", "--dist", "rademacher", "--p", "2"]

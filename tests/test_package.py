@@ -21,6 +21,15 @@ def test_every_exported_name_exists(name):
     assert [x for x in exported if not hasattr(module, x)] == []
 
 
+def test_every_engine_function_is_exported():
+    # perfbench's tracer wraps exported names only: an unexported engine would drop out of its metrics
+    from momentbounds import summoments
+
+    for name, engine in summoments.ENGINES.items():
+        assert engine.function in summoments.__all__, name
+        assert callable(getattr(summoments, engine.function)), name
+
+
 def test_cli_jobs_leave_scipy_integrate_and_optimize_unloaded():
     # every CLI job is a fresh process that pays for each module it imports
     code = (
