@@ -59,7 +59,8 @@ BOUND_SOURCES = ("khintchine", "comp2", "estrad", "estexp", "logconc", "gaussGap
 
 @dataclass(frozen=True)
 class BoundInterval:
-    """A [lower, upper] pair for ||S||_p with its provenance."""
+    """A [lower, upper] pair for ||S||_p with its provenance; OverflowError
+    for an endpoint past the float range."""
 
     lower: float
     upper: float
@@ -70,7 +71,7 @@ class BoundInterval:
         if self.source not in BOUND_SOURCES:
             raise ValueError(f"unknown bound source {self.source!r}")
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError("bound endpoints must be finite")
+            raise OverflowError(f"the {self.source} bound at p={self.p!r} has an endpoint past the float range")
         if self.lower < 0 or self.lower > self.upper:
             raise ValueError(f"need 0 <= lower <= upper, got [{self.lower}, {self.upper}]")
 
@@ -235,18 +236,25 @@ class OrliczFunction:
 _GK_REGIME_CAP = 1 << 16
 
 
+def _gk_order(a: np.ndarray, M: Sequence[OrliczFunction]) -> list[int]:
+    """The canonical order of the coordinates: by law (kind, alpha, scale),
+    then by decreasing |a|.  Coordinates that tie are interchangeable."""
+    return sorted(range(len(a)), key=lambda i: (M[i].dist.kind, M[i].dist.alpha or 0.0, M[i].dist.scale or 0.0, -a[i]))
+
+
 def _gk_regimes(a: np.ndarray, M: Sequence[OrliczFunction]):
-    """Regime assignments to try: which coordinates sit on the tail piece
-    (b > 1) versus the quadratic piece (b <= 1).
+    """Regime assignments to try, for coordinates in canonical order (see
+    _gk_order): which sit on the tail piece (b > 1) versus the quadratic
+    piece (b <= 1).
 
     Among coordinates of one cost an optimal solution gives the tail piece
     to the larger |a| (exchange argument), so per cost the tail set is a
-    prefix of its coordinates sorted by |a|, and only the empty one for a
-    cost without a tail piece (Rademacher).  The regimes are the products of
-    those prefixes, refused past _GK_REGIME_CAP of them.
+    prefix of its coordinates, and only the empty one for a cost without a
+    tail piece (Rademacher).  The regimes are the products of those
+    prefixes, refused past _GK_REGIME_CAP of them.
     """
     groups: dict[DistributionSpec, list[int]] = {}
-    for i in sorted(range(len(a)), key=lambda i: -a[i]):
+    for i in range(len(a)):
         groups.setdefault(M[i].dist, []).append(i)
     prefixes = []
     for idx in groups.values():
@@ -340,7 +348,9 @@ def gk_dual_norm(v: CoefficientVector, M: Sequence[OrliczFunction], p: float) ->
     coordinate to a piece of M (quadratic or tail) and bisects the
     multiplier within each now-concave regime, taking the best regime; the
     one-sided candidates of the kink appear as the b = 1 endpoints of the
-    two regimes, with ties resolved toward the largest maximizer.
+    two regimes, with ties resolved toward the largest maximizer.  It
+    solves on the coordinates in canonical order, so the value is bitwise
+    invariant under permutations of the input.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p!r}")
@@ -349,6 +359,8 @@ def gk_dual_norm(v: CoefficientVector, M: Sequence[OrliczFunction], p: float) ->
     a = np.abs(v.as_array())
     if len(a) == 0 or float(a.max()) == 0.0:
         return 0.0
+    order = _gk_order(a, M)
+    a, M = a[order], [M[i] for i in order]
     caps = [mi.largest_sublevel(p) for mi in M]
     if not all(map(math.isfinite, caps)):
         raise UnboundedSupremumError("a coordinate's sublevel set is unbounded")

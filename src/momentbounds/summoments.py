@@ -17,10 +17,10 @@ Seven routes to E|S|^p / ||S||_p:
                          Taylor polynomial of phi_S of degree 2 floor(p/2)
                          from the even-moment program, for every p > 0 that
                          is not an even integer (two-sided exponential and
-                         Weibull alpha = 2, whose phi_S are closed forms),
-* ``haagerup``         — the same integral at m = 1, 2 < p < 4 (Haagerup
-                         1981), for Rademacher and two-sided exponential
-                         sums, with a derived error of at most 1e-6,
+                         Weibull alpha = 2; Rademacher at p > 2), whose phi_S
+                         are closed forms,
+* ``haagerup``         — charFunction at 2 < p < 4, where the integral is
+                         Haagerup's (1981) with m = 1,
 * ``monteCarlo``       — seeded sample mean with a 3-sigma confidence interval.
 
 Plus the 2-stable closed form gamma_p ||a||_2 for Gaussian sums.
@@ -35,7 +35,7 @@ permutation, sign flips and power-of-two scaling of the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -93,7 +93,7 @@ class Engine:
     computes it (looked up at call time), the engine laws it computes,
     whether it may claim exact rigor, the errors by which it declines an
     input so that a ladder moves on, and its positional arguments among
-    v, law (engine_law of d), d, p, samples and seed."""
+    v, d, p, samples and seed."""
 
     function: str
     laws: frozenset[str]
@@ -110,6 +110,7 @@ _SIGNS = frozenset({dists.RADEMACHER})
 # the refusals of the engines that run _char_function_integral
 _INTEGRAL_REFUSALS = (EngineCapacityError, QuadratureError)
 _EXPONENTIAL = frozenset({dists.SYM_EXPONENTIAL})
+_CHAR_LAWS = _SIGNS | _EXPONENTIAL | {dists.WEIBULL_TAIL}  # the laws of _char_functions, Weibull at alpha = 2
 ENGINES = {
     "evenMoments": Engine(
         "even_sum_moment", frozenset(dists.KINDS), True, (EngineCapacityError,), args=("v", "d", "p")
@@ -119,10 +120,8 @@ ENGINES = {
         "laplace_sum_moment_exact", _EXPONENTIAL, True, (DegenerateCoefficientsError, ResidueCancellationError)
     ),
     "recursion": Engine("laplace_sum_moment_recursion", _EXPONENTIAL, True, _INTEGRAL_REFUSALS),
-    "haagerup": Engine("haagerup_moment", _SIGNS | _EXPONENTIAL, False, _INTEGRAL_REFUSALS, args=("v", "law", "p")),
-    "charFunction": Engine(
-        "char_function_moment", _EXPONENTIAL | {dists.WEIBULL_TAIL}, False, _INTEGRAL_REFUSALS, args=("v", "d", "p")
-    ),
+    "haagerup": Engine("haagerup_moment", _CHAR_LAWS, False, _INTEGRAL_REFUSALS, args=("v", "d", "p")),
+    "charFunction": Engine("char_function_moment", _CHAR_LAWS, False, _INTEGRAL_REFUSALS, args=("v", "d", "p")),
     "monteCarlo": Engine(
         "monte_carlo_sum_moment", frozenset(dists.KINDS), False, args=("v", "d", "p", "samples", "seed")
     ),
@@ -131,7 +130,7 @@ ENGINES = {
 
 # default preference ladder of each engine law, strongest engine first
 LADDERS = {
-    dists.RADEMACHER: ("evenMoments", "enumeration", "monteCarlo"),
+    dists.RADEMACHER: ("evenMoments", "enumeration", "charFunction", "monteCarlo"),
     dists.SYM_EXPONENTIAL: ("partialFractions", "charFunction", "recursion", "monteCarlo"),
     dists.GAUSSIAN: ("closedForm",),
     dists.WEIBULL_TAIL: ("evenMoments", "charFunction", "monteCarlo"),
@@ -675,21 +674,6 @@ def _char_function_integral(
     return c_p * total, eps
 
 
-def _char_function_estimate(v: CoefficientVector, d: DistributionSpec, p: float, method: str) -> MomentEstimate:
-    """The path of char_function_moment and haagerup_moment: the integral of
-    _char_function_integral on the unit-scale vector."""
-    (y,), (e,) = _canonical(v.as_array())
-    y = y[y > 0.0]
-    if e is None:
-        return MomentEstimate.scaled(p, 0.0, None, method, Rigor.tolerance(_UNIT_ROUNDOFF))
-    try:
-        mom = _even_levels(y, d, int(p) // 2 + _SERIES_TERMS)
-        value, eps = _char_function_integral(engine_law(d), d.scale, y, mom, p)
-    except OverflowError as exc:
-        raise EngineCapacityError(f"{method} overflows the float range: {exc}") from None
-    return MomentEstimate.scaled(p, value, e, method, Rigor.tolerance(eps))
-
-
 def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
     """E|S|^p for p > 0 not an even integer, by the Taylor-subtracted
     characteristic-function formula (von Bahr at m = 0, Haagerup at m = 1):
@@ -697,10 +681,10 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
         E|S|^p = C_p int_0^inf (phi_S(t) - P_m(t)) t^{-p-1} dt,
         P_m(t) = sum_{j<=m} (-1)^j E S^{2j} t^{2j}/(2j)!,   2m < p < 2m+2,
 
-    with C_p = -(2/pi) Gamma(p+1) sin(p pi/2), for the two-sided exponential
-    and Weibull alpha = 2, whose phi_S are closed forms.  It runs on the
-    unit-scale vector (max |a_i| in [1/2, 1)), whose moments E S^{2j} come
-    from _even_levels.
+    with C_p = -(2/pi) Gamma(p+1) sin(p pi/2), for the two-sided exponential,
+    Weibull alpha = 2 and, at p > 2, Rademacher signs, whose phi_S are closed
+    forms.  It runs on the unit-scale vector (max |a_i| in [1/2, 1)), whose
+    moments E S^{2j} come from _even_levels.
 
     Numerics, with sigma = ||S||_2 of the unit-scale sum, t1 = 4/sigma (at most
     1/max|a_i| for the exponential, whose phi_S has poles) and t0 = t1/4:
@@ -713,43 +697,48 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
     * past 2 t1 the polynomial P_m goes in closed form, and the same rule
       integrates phi_S t^{-p-1} on doubling blocks [T, 2T] until the bound
       sup_{t>=T} |phi_S(t)| T^{-p}/p on the rest is below 1e-15 of the
-      integral.
+      integral (1e-8 for signs: a product of cosines does not decay).
 
     Rigor: tolerance(eps), where eps is the sum of the rule's error
     estimates, the series truncation bound, the phi-tail bound and a bound
     on the rounding of phi_S - P_m and of the closed-form pieces, over the
     integral, plus 16 ulps for the final products.  Refuses
     (EngineCapacityError) an even integer p, a law without a closed-form
-    phi_S, eps above CHAR_FUNCTION_TOLERANCE (at large p the pieces cancel),
-    and work of _even_levels above EVEN_MOMENT_CAP; QuadratureError when a
-    quadrature does not converge.
+    phi_S, Rademacher signs at p < 2 (on lattices eps is no bound there),
+    eps above CHAR_FUNCTION_TOLERANCE (1e-6 for signs; at large p the pieces
+    cancel), and work of _even_levels above EVEN_MOMENT_CAP; QuadratureError
+    when a quadrature does not converge.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
     if p % 2 == 0:
         raise EngineCapacityError(f"charFunction handles p that is not an even integer, got p={p!r}")
     law = engine_law(d)
-    if law != dists.SYM_EXPONENTIAL and not (law == dists.WEIBULL_TAIL and d.alpha == 2.0):
+    if law == dists.RADEMACHER and p < 2:
+        raise EngineCapacityError(f"charFunction handles Rademacher sums at p > 2 only, got p={p!r}")
+    if law not in _CHAR_LAWS or (law == dists.WEIBULL_TAIL and d.alpha != 2.0):
         raise EngineCapacityError(
-            "charFunction has a closed-form characteristic function for symExponential "
-            f"and weibullTail alpha = 2 only, got {d.kind} alpha={d.alpha!r}"
+            f"charFunction has no closed-form characteristic function for {d.kind} alpha={d.alpha!r}"
         )
-    return _char_function_estimate(v, d, p, "charFunction")
+    (y,), (e,) = _canonical(v.as_array())
+    y = y[y > 0.0]
+    if e is None:
+        return MomentEstimate.scaled(p, 0.0, None, "charFunction", Rigor.tolerance(_UNIT_ROUNDOFF))
+    try:
+        mom = _even_levels(y, d, int(p) // 2 + _SERIES_TERMS)
+        value, eps = _char_function_integral(law, d.scale, y, mom, p)
+    except OverflowError as exc:
+        raise EngineCapacityError(f"charFunction overflows the float range: {exc}") from None
+    return MomentEstimate.scaled(p, value, e, "charFunction", Rigor.tolerance(eps))
 
 
-def haagerup_moment(v: CoefficientVector, kind: str, p: float) -> MomentEstimate:
-    """E|S|^p = C_p int_0^inf (phi_S(t) - 1 + t^2 E S^2/2) t^{-p-1} dt for
-    2 < p < 4 strictly (Haagerup's representation): char_function_moment at
-    m = 1 for Rademacher and two-sided exponential sums, with the tail cut
-    and eps ceiling of the law: for Rademacher the doubling blocks stop at
-    1e-8 of the integral (a product of cosines does not decay) and eps is
-    refused above 1e-6, while the exponential sum gets charFunction's."""
+def haagerup_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> MomentEstimate:
+    """char_function_moment for 2 < p < 4 strictly, where it is Haagerup's
+    representation E|S|^p = C_p int_0^inf (phi_S(t) - 1 + t^2 E S^2/2)
+    t^{-p-1} dt (Haagerup 1981), labelled haagerup."""
     if not 2.0 < p < 4.0:
         raise ValueError(f"the Haagerup representation requires 2 < p < 4, got {p!r}")
-    if kind not in ENGINES["haagerup"].laws:
-        raise ValueError(f"haagerup_moment supports rademacher/symExponential, got {kind!r}")
-    d = dists.rademacher() if kind == dists.RADEMACHER else dists.sym_exponential()
-    return _char_function_estimate(v, d, p, "haagerup")
+    return replace(char_function_moment(v, d, p), method="haagerup")
 
 
 # --- Monte Carlo ---------------------------------------------------------------

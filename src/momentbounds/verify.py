@@ -174,21 +174,16 @@ def reference_estimate(
 ) -> MomentEstimate:
     """Strongest available engine for ||sum a_i X_i||_p under d.
 
-    Walks ``prefer`` (default: summoments.LADDERS of the engine law of d)
-    and moves past an engine that refuses the input.  Default ladders:
-    Rademacher even moments -> enumeration -> Monte Carlo; two-sided
-    exponential, Weibull alpha = 1 included, partial fractions ->
-    characteristic function -> recursion (even p, and fractional p where the
-    characteristic function cancels or is capped) -> Monte Carlo; Gaussian
-    closed form; other Weibull tails even moments -> characteristic function
-    (alpha = 2 only) -> Monte Carlo.  A ladder that reaches Monte Carlo
+    Walks ``prefer`` (default: summoments.LADDERS of the engine law of d,
+    Weibull alpha = 1 taking the two-sided exponential's) and moves past an
+    engine that refuses the input.  A ladder that reaches Monte Carlo
     without a seed raises JobValidationError on ``seed``: there is no default
     seed, not even on a fallback.
     """
     law = summoments.engine_law(d)
     # Weibull alpha = 1 is the two-sided exponential, to the bit on every engine
     spec = d if law == d.kind else dists.sym_exponential()
-    given = {"v": v, "law": law, "d": spec, "p": p, "samples": samples, "seed": seed}
+    given = {"v": v, "d": spec, "p": p, "samples": samples, "seed": seed}
     last_error: Exception | None = None
     for method in summoments.LADDERS[law] if prefer is None else prefer:
         engine = summoments.ENGINES.get(method)

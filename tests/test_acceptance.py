@@ -55,7 +55,7 @@ def test_criterion_01_engine_agreement():
         exact = {p: laplace_sum_moment_exact(v, p).raw_moment for p in ps}
         mcs = monte_carlo_sum_moments(v, dists.sym_exponential(), ps, 10**6, 1002 + i)
         for p, mc in zip(ps, mcs):
-            haag = haagerup_moment(v, dists.SYM_EXPONENTIAL, p).raw_moment
+            haag = haagerup_moment(v, dists.sym_exponential(), p).raw_moment
             rel = abs(haag - exact[p]) / exact[p]
             worst_haag = max(worst_haag, rel)
             assert rel <= 1e-5, (v.values, p, rel)

@@ -9,6 +9,7 @@ from momentbounds import dists
 from momentbounds.bounds import (
     BoundInterval,
     OrliczFunction,
+    _gk_order,
     _gk_solve_regime,
     comp2_bounds,
     exponential_bounds,
@@ -259,13 +260,16 @@ class TestGkRegimes:
             pool = [self.LAWS[int(i)] for i in rng.choice(len(self.LAWS), int(rng.integers(2, 4)), replace=False)]
             Ms = [OrliczFunction(pool[int(rng.integers(0, len(pool)))]) for _ in range(n)]
             p = float(rng.choice([1.0, 2.0, 3.0, 4.5, 8.0]))
-            abs_a = np.abs(a)
+            got = gk_dual_norm(CV(a), Ms, p)
+            # the solver's canonical coordinate order, so that every regime sums
+            # its terms in the same order as gk_dual_norm does
+            order = _gk_order(np.abs(a), Ms)
+            abs_a, Ms = np.abs(a)[order], [Ms[i] for i in order]
             caps = [m.largest_sublevel(p) for m in Ms]
             # Rademacher has no tail piece, so its coordinates never join a tail set
             tailed = [i for i in range(n) if Ms[i].dist.kind != dists.RADEMACHER]
             values = [_gk_solve_regime(abs_a, Ms, p, caps, frozenset(s)) for s in _subsets(tailed)]
             want = max([0.0] + [x for x in values if x is not None])
-            got = gk_dual_norm(CV(a), Ms, p)
             keys = [(m.dist, x) for m, x in zip(Ms, abs_a)]
             if len(set(keys)) == n:
                 assert got == want
@@ -274,6 +278,26 @@ class TestGkRegimes:
                 # differ in which of them is on the tail piece are equal but for the
                 # order of rounding, so the maximum over all tail sets may be an ulp up
                 assert want * (1.0 - 2.0**-52) <= got <= want
+
+    def test_bitwise_permutation_invariance(self):
+        # equal-cost (one Weibull alpha = 1.5 law, ties included) and
+        # mixed-cost instances, each under several permutations and sign flips
+        rng = np.random.default_rng(16)
+        for k in range(120):
+            n = int(rng.integers(2, 9))
+            a = rng.uniform(0.05, 2.0, n)
+            if n > 2 and rng.random() < 0.3:
+                a[0] = a[1]
+            if k % 2:
+                Ms = [OrliczFunction(dists.weibull_tail(1.5))] * n
+            else:
+                Ms = [OrliczFunction(self.LAWS[int(i)]) for i in rng.integers(0, len(self.LAWS), n)]
+            p = float(rng.choice([1.0, 2.0, 3.0, 4.5, 8.0]))
+            want = gk_dual_norm(CV(a), Ms, p)
+            for _ in range(3):
+                perm = rng.permutation(n)
+                signs = rng.choice([-1.0, 1.0], n)
+                assert gk_dual_norm(CV(signs * a[perm]), [Ms[i] for i in perm], p) == want
 
     def test_two_law_mix_past_sixteen_coordinates(self):
         rng = np.random.default_rng(20)

@@ -218,12 +218,13 @@ _THIRTY_ONES = ",".join(["1"] * 30)
 
 
 class TestMissingSeedOnFallback:
-    """Past the enumeration cap, at an order the even-moment engine refuses,
-    the Rademacher ladder falls back to Monte Carlo, which must not run
-    without the job's seed."""
+    """Past the enumeration cap, at an order that the even-moment and
+    characteristic-function engines refuse, the Rademacher ladder falls back
+    to Monte Carlo, which must not run without the job's seed."""
 
     def test_moment_beyond_enumeration_cap(self, capsys):
-        argv = ["moment", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "3"]
+        # charFunction takes Rademacher sums at p > 2 only
+        argv = ["moment", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "1.5"]
         status, out, err = invoke(argv, capsys)
         assert status == cli.EXIT_USAGE
         assert err.startswith("error: seed:")
@@ -240,6 +241,13 @@ class TestMissingSeedOnFallback:
         assert status == cli.EXIT_USAGE
         assert err.startswith("error: seed:")
         assert out == ""
+
+    def test_fractional_moment_beyond_enumeration_cap_needs_no_seed(self, capsys):
+        argv = ["moment", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "3"]
+        status, out, _ = invoke(argv, capsys)
+        assert status == cli.EXIT_OK
+        (rec,) = records_of(out)
+        assert rec["method"] == "charFunction" and rec["rigor"] == "tolerance" and rec["seed"] is None
 
     def test_even_moment_beyond_enumeration_cap_is_exact(self, capsys):
         argv = ["moment", "--coeffs", _THIRTY_ONES, "--dist", "rademacher", "--p", "4"]
@@ -274,6 +282,18 @@ class TestEngineFailureExitCodes:
         haagerup, exact = records_of(out)
         assert haagerup["method"] == "haagerup" and exact["method"] == "enumeration"
         assert haagerup["raw_moment"] == pytest.approx(exact["raw_moment"], rel=haagerup["epsilon"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--dist", dist, "--p", "3"] for dist in ("symExponential", "rademacher", "gaussian")]
+        + [["sweep", "--seed", "1"]],
+    )
+    def test_overflowing_bound_endpoint_exits_capacity(self, argv, capsys):
+        # an upper endpoint of about 3e308 is past the float range
+        status, out, err = invoke(argv + ["--coeffs", "1e308,1e308"], capsys)
+        assert status == cli.EXIT_CAPACITY
+        assert err.startswith("error: result out of float range") and "past the float range" in err
+        assert out == ""
 
     def test_overflowing_moment_exits_capacity(self, capsys):
         # ||S||_5 is about 2e308, past the float range

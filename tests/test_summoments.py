@@ -403,7 +403,7 @@ def within_own_eps(est, exact):
 
 class TestHaagerup:
     def test_single_rademacher(self):
-        est = haagerup_moment(CV([1]), dists.RADEMACHER, 3.0)
+        est = haagerup_moment(CV([1]), dists.rademacher(), 3.0)
         assert est.rigor.epsilon <= 1e-6
         assert within_own_eps(est, 1.0)
 
@@ -414,16 +414,16 @@ class TestHaagerup:
         for n in range(1, 11):
             v = CV(rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n))
             for p in (2.5, 3.0, 3.5):
-                est = haagerup_moment(v, dists.RADEMACHER, p)
+                est = haagerup_moment(v, dists.rademacher(), p)
                 assert est.rigor.epsilon <= 1e-6
                 assert within_own_eps(est, rademacher_sum_moment(v, p).raw_moment), (n, p)
 
     def test_single_exponential(self):
-        got = haagerup_moment(CV([1]), dists.SYM_EXPONENTIAL, 3.0).raw_moment
+        got = haagerup_moment(CV([1]), dists.sym_exponential(), 3.0).raw_moment
         assert got == pytest.approx(3.0 / SQRT2, rel=1e-6)
 
     def test_two_term_equal_against_density_oracle(self):
-        got = haagerup_moment(CV([1, 1]), dists.SYM_EXPONENTIAL, 3.0).raw_moment
+        got = haagerup_moment(CV([1, 1]), dists.sym_exponential(), 3.0).raw_moment
         assert got == pytest.approx(oracles.two_term_laplace_moment(3.0), rel=1e-6)
         assert got == pytest.approx(15.0 / (2 * SQRT2), rel=1e-6)
 
@@ -431,20 +431,20 @@ class TestHaagerup:
     def test_agrees_with_partial_fractions(self, p):
         v = CV([2.0, 1.1, 0.4])
         want = laplace_sum_moment_exact(v, p).raw_moment
-        got = haagerup_moment(v, dists.SYM_EXPONENTIAL, p).raw_moment
+        got = haagerup_moment(v, dists.sym_exponential(), p).raw_moment
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_rademacher_against_enumeration(self):
         v = CV([1.0, 0.6, 0.3, 0.9])
         for p in [2.5, 3.0, 3.7]:
             want = rademacher_sum_moment(v, p).raw_moment
-            got = haagerup_moment(v, dists.RADEMACHER, p).raw_moment
+            got = haagerup_moment(v, dists.rademacher(), p).raw_moment
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_rejects_p_outside_open_interval(self):
         for p in [2.0, 4.0, 1.5, 5.0]:
             with pytest.raises(ValueError):
-                haagerup_moment(CV([1]), dists.SYM_EXPONENTIAL, p)
+                haagerup_moment(CV([1]), dists.sym_exponential(), p)
 
 
 class TestCharFunction:
@@ -524,10 +524,18 @@ class TestCharFunction:
         with pytest.raises(EngineCapacityError, match="even integer"):
             char_function_moment(CV([1.0, 0.5]), self.W2, p)
 
-    @pytest.mark.parametrize("d", [dists.weibull_tail(1.5), dists.weibull_tail(3.0), dists.rademacher()])
+    @pytest.mark.parametrize("d", [dists.weibull_tail(1.5), dists.weibull_tail(3.0)])
     def test_refuses_laws_without_closed_form(self, d):
         with pytest.raises(EngineCapacityError, match="closed-form"):
             char_function_moment(CV([1.0, 0.5]), d, 3.0)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 1.99])
+    def test_refuses_rademacher_below_two(self, p):
+        # on lattices the phi_S of signs has peaks of height 1 that the tail
+        # blocks can step over, so eps is no bound below 2: 300 equal
+        # coefficients at p = 1.5 land 7.2 eps off
+        with pytest.raises(EngineCapacityError, match="p > 2"):
+            char_function_moment(CV([1.0, 0.5]), dists.rademacher(), p)
 
     def test_refuses_a_bound_past_the_label(self):
         with pytest.raises(EngineCapacityError, match="error bound"):
@@ -552,6 +560,60 @@ class TestCharFunction:
                 est = char_function_moment(CV([scale * x for x in values]), self.W2, p)
                 assert est.raw_moment is None
                 assert est.value == pytest.approx(scale * base.value, rel=2 * base.rigor.epsilon)
+
+
+def lattice_moment(levels, p):
+    """Exact E|S|^p for S the sum of `count` signs of weight c over the
+    (c, count) levels: a binomial sum over the values S attains."""
+    law = {0.0: 1.0}
+    for c, count in levels:
+        grown = {}
+        for x, w in law.items():
+            for k in range(count + 1):
+                y = x + c * (count - 2 * k)
+                grown[y] = grown.get(y, 0.0) + w * math.comb(count, k) / 2.0**count
+        law = grown
+    return math.fsum(w * abs(x) ** p for x, w in law.items())
+
+
+class TestCharFunctionRademacher:
+    R = dists.rademacher()
+
+    def test_against_enumeration_past_four(self):
+        rng = np.random.default_rng(48)
+        for n in (1, 2, 5, 9, 14):
+            v = CV(rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n))
+            for p in (4.5, 5.5, 7.5, 9.5):
+                est = char_function_moment(v, self.R, p)
+                assert est.rigor.epsilon <= 1e-6
+                assert within_own_eps(est, rademacher_sum_moment(v, p).raw_moment), (n, p)
+
+    def test_lattice_corpus_past_the_enumeration_cap(self):
+        # equal and two-level coefficients, n > ENUMERATION_CAP: the ladder
+        # takes them without a seed, each value within its own eps of the
+        # exact binomial sum
+        rng = np.random.default_rng(49)
+        for _ in range(24):
+            n = int(rng.integers(ENUMERATION_CAP + 1, 240))
+            p = float(rng.choice([2.05, 2.5, 3.0, 3.5, 5.5, 7.5, 9.5]))
+            scale = float(rng.uniform(0.1, 10.0))
+            if rng.random() < 0.5:
+                levels = [(scale, n)]
+            else:
+                head = int(rng.integers(1, n))
+                levels = [(scale, head), (scale * float(rng.choice([0.25, 1 / 3, 0.5, 0.6, 0.75])), n - head)]
+            values = [c * float(rng.choice([-1.0, 1.0])) for c, count in levels for _ in range(count)]
+            est = reference_estimate(CV(values), self.R, p)
+            assert est.method == "charFunction" and est.rigor.epsilon <= 1e-6
+            assert within_own_eps(est, lattice_moment(levels, p)), (levels, p)
+
+    def test_haagerup_is_char_function_between_two_and_four(self):
+        v = CV([0.8, 0.7, 0.5, 0.4, 0.2])
+        for d in (self.R, dists.sym_exponential(), dists.weibull_tail(2.0)):
+            for p in (2.5, 3.0, 3.5):
+                est = char_function_moment(v, d, p)
+                want = MomentEstimate(est.p, est.raw_moment, est.value, "haagerup", est.rigor)
+                assert haagerup_moment(v, d, p) == want
 
 
 class TestMonteCarlo:
@@ -599,7 +661,7 @@ ENGINES = {
     "enumeration": lambda v, p: rademacher_sum_moment(v, p),
     "partialFractions": lambda v, p: laplace_sum_moment_exact(v, p),
     "recursion": lambda v, p: laplace_sum_moment_recursion(v, p),
-    "haagerup": lambda v, p: haagerup_moment(v, dists.SYM_EXPONENTIAL, p),
+    "haagerup": lambda v, p: haagerup_moment(v, dists.sym_exponential(), p),
     "charFunction": lambda v, p: char_function_moment(v, dists.sym_exponential(), p),
     "monteCarlo": lambda v, p: monte_carlo_sum_moment(v, dists.sym_exponential(), p, 10**5, 17),
 }
@@ -639,7 +701,7 @@ def run_engine(name, law, values, p):
     """The estimate of one registry engine, seeded, or None where it refuses
     the input or p lies outside its domain."""
     engine = summoments.ENGINES[name]
-    given = {"v": CV(values), "law": law, "d": LAWS[law], "p": p, "samples": 10_000, "seed": 5}
+    given = {"v": CV(values), "d": LAWS[law], "p": p, "samples": 10_000, "seed": 5}
     try:
         return getattr(summoments, engine.function)(*[given[arg] for arg in engine.args])
     except (ValueError, *engine.refusals):
@@ -718,7 +780,7 @@ def test_engine_agreement_small_corpus():
         v = CV(a)
         for p in [2.5, 3.0, 3.5]:
             exact = laplace_sum_moment_exact(v, p)
-            haag = haagerup_moment(v, dists.SYM_EXPONENTIAL, p)
+            haag = haagerup_moment(v, dists.sym_exponential(), p)
             rec = laplace_sum_moment_recursion(v, p)
             mc = monte_carlo_sum_moment(v, dists.sym_exponential(), p, 10**5, 31)
             assert haag.raw_moment == pytest.approx(exact.raw_moment, rel=1e-5)

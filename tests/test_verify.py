@@ -348,6 +348,12 @@ class TestReferenceEstimate:
         assert est.method == "enumeration"
         est = reference_estimate(CV([1, 1]), dists.rademacher(), 4.0)
         assert est.method == "evenMoments" and est.raw_moment == 8.0
+        # past the enumeration cap the characteristic function takes p > 2;
+        # below 2 it refuses signs, so the ladder needs a seed there
+        est = reference_estimate(CV([1] * 30), dists.rademacher(), 3.0)
+        assert est.method == "charFunction" and est.rigor.kind == "tolerance"
+        with pytest.raises(JobValidationError, match="seed"):
+            reference_estimate(CV([1] * 30), dists.rademacher(), 1.5)
         est = reference_estimate(CV([2, 1]), dists.sym_exponential(), 3.0)
         assert est.method == "partialFractions"
         # equal coefficients: PF refuses; the characteristic function takes
@@ -390,3 +396,32 @@ class TestReferenceEstimate:
             CV([2, 1]), dists.sym_exponential(), 3.0, prefer=["haagerup"]
         )
         assert est.method == "haagerup"
+
+    # every law the CLI takes, Weibull alpha = 1 being the exponential
+    REGISTRY_LAWS = (
+        dists.rademacher(),
+        dists.sym_exponential(),
+        dists.gaussian(),
+        dists.weibull_tail(1.5),
+        dists.weibull_tail(2.0),
+        dists.weibull_tail(3.0),
+    )
+
+    @pytest.mark.parametrize("name", sorted(summoments.ENGINES))
+    def test_pinned_engine_keeps_its_registry_entry(self, name):
+        # an engine pinned alone refuses a law outside its table by name, and
+        # on a law inside it returns a record or raises one of its refusals
+        engine = summoments.ENGINES[name]
+        v = CV([1.0, 0.5, 0.25])
+        pinned = {"samples": 10**4, "seed": 3, "prefer": [name]}
+        for d in self.REGISTRY_LAWS:
+            for p in (3.0, 3.5):
+                if summoments.engine_law(d) not in engine.laws:
+                    with pytest.raises(ValueError, match="does not compute"):
+                        reference_estimate(v, d, p, **pinned)
+                    continue
+                try:
+                    est = reference_estimate(v, d, p, **pinned)
+                except engine.refusals:
+                    continue
+                assert est.method == name and est.p == p, (name, d, p)
