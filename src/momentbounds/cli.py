@@ -247,6 +247,15 @@ def _coeff_cell(values) -> str:
 # --- command implementations -----------------------------------------------------
 
 
+def _orders_from(lowest: float, ps: list[float], what: str) -> list[float]:
+    """The orders of ps from lowest on, as floats; refused on p when there
+    are none, since the command would print no record."""
+    orders = [float(x) for x in ps if x >= lowest]
+    if not orders:
+        _fail("p", f"{what} need p >= {lowest:g}, got {[float(x) for x in ps]}")
+    return orders
+
+
 def _run_moment(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     v = CoefficientVector(job.coefficients)
     d = _distribution(job)
@@ -287,8 +296,8 @@ def _run_bounds(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     v = CoefficientVector(job.coefficients)
     d = _distribution(job)
     records = []
-    for p in job.p:
-        for bi, _, _ in verify.applicable_bounds(v, d, float(p), samples=job.samples, seed=job.seed):
+    for p in _orders_from(verify.lowest_bound_order(d), job.p, f"bounds of {d.kind} sums"):
+        for bi, _, _ in verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed):
             records.append(
                 {
                     **envelope,
@@ -368,7 +377,9 @@ _SWEEP_SIZES = (4, 8)
 
 def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     d = _distribution(job) if job.distribution else dists.sym_exponential()
-    ps = [float(x) for x in (job.p or [2.0, 3.0, 4.0, 6.0])]
+    # a sweep row needs p >= 2, and p >= 3 for Weibull-law sums
+    lowest = 3.0 if summoments.engine_law(d) == dists.WEIBULL_TAIL else 2.0
+    ps = _orders_from(lowest, job.p or [2.0, 3.0, 4.0, 6.0], f"sweep rows of {d.kind} sums")
     records = []
     case = 0
     for family in verify.COEFFICIENT_REGIMES:
@@ -381,8 +392,6 @@ def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 else verify.sample_coefficient_vector(rng, n, family)
             )
             for p in ps:
-                if p < 2 or (summoments.engine_law(d) == dists.WEIBULL_TAIL and p < 3):
-                    continue
                 est = verify.reference_estimate(
                     v, d, p, samples=job.samples, seed=job.seed + case
                 )

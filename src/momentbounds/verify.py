@@ -42,6 +42,7 @@ __all__ = [
     "check_comparison_chain",
     "check_extremality",
     "applicable_bounds",
+    "lowest_bound_order",
     "check_bounds_sandwich",
     "check_p24_comparison",
     "check_gk_ratio",
@@ -253,11 +254,35 @@ def _cos_product_margins(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 def check_cos_product(v: CoefficientVector, t_grid: ArrayLike, seed: int = 0) -> VerificationReport:
     """prod cos(a_i t) + a_1^2 t^2/2 >= prod_{i>=2} 1/(1 + a_i^2 t^2/2) on a
     grid, absolute slack 1e-12.  Deterministic; the input must be rearranged
-    (the hypothesis |a_1| >= ... >= |a_n|)."""
+    (the hypothesis |a_1| >= ... >= |a_n|) and the grid a sequence of finite
+    points.
+
+    Where |a_1 t| >= sqrt 8 the inequality is trivial: the left side is at
+    least (a_1 t)^2/2 - 1 >= 3 and the right side at most 1, so the margin
+    is at least 2, less n + 3 roundings.  Those points are certified, not
+    evaluated, when some evaluated margin lies below 1: such a point is then
+    neither a violation nor the minimum.  The default grid always qualifies,
+    as its t = 0 has margin 0.  Otherwise every point is evaluated.  Either
+    way the report is the full evaluation's, bit for bit.  A margin whose
+    (a_1 t)^2 leaves the float range is +inf."""
     if not v.is_rearranged():
         raise ValueError("check_cos_product requires a rearranged vector")
     t = np.asarray(t_grid, dtype=float)
-    margins = _cos_product_margins(v.as_array()[None, :], t[None, :])[0]
+    if t.ndim != 1:
+        raise ValueError(f"the grid must be a sequence of points, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        i = int(np.flatnonzero(~np.isfinite(t))[0])
+        raise ValueError(f"grid point t[{i}] = {float(t[i])!r} is not finite")
+    a = v.as_array()
+    a1 = abs(v[0]) if len(v) else 0.0
+    # a Python float division: inf past the float range, with no warning
+    near = np.abs(t) < (math.sqrt(8.0) / a1 if a1 else math.inf)
+    margins = _cos_product_margins(a[None, :], t[None, near])[0]
+    if not (len(margins) and np.min(margins) < 1.0):
+        margins = np.full(t.shape, math.inf)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(a1 * t)
+            margins[finite] = _cos_product_margins(a[None, :], t[None, finite])[0]
     violations = int(np.sum(margins < -COS_PRODUCT_SLACK))
     worst = float(np.min(margins)) if len(margins) else math.inf
     return VerificationReport("cos_product", len(t), violations, worst, 0, 0, seed)
@@ -335,6 +360,13 @@ def check_extremality(
     return tally.report("extremality", seed)
 
 
+# the orders at which applicable_bounds' sources hold: each law's own
+# (Rademacher: khintchine, comp2, estrad; two-sided exponential: estexp) from
+# p = 2, the log-concave ones (logconc, gaussGap) for every law from p = 3
+_LAW_BOUNDS_FROM = {dists.RADEMACHER: 2.0, dists.SYM_EXPONENTIAL: 2.0}
+_LOGCONCAVE_BOUNDS_FROM = 3.0
+
+
 def applicable_bounds(
     v: CoefficientVector,
     d: DistributionSpec,
@@ -346,20 +378,22 @@ def applicable_bounds(
     """Every closed-form interval for ||sum a_i X_i||_p that applies at
     (d, p), each with its lower and upper endpoint on the norm scale.
 
-    Sources, in order: khintchine, comp2, estrad (Rademacher, p >= 2),
-    estexp (two-sided exponential, p >= 2), logconc and gaussGap (p >= 3).
+    Sources, in order, each from its order above: khintchine, comp2,
+    estrad (Rademacher), estexp (two-sided exponential), logconc and
+    gaussGap (every law).
     The logconc head norm comes from reference_estimate at seed + 1; both
     logconc endpoints grow with it, so when it is not exact they span the
     images of its certainty interval.  All other endpoints are exact.
     """
     law = summoments.engine_law(d)
     out = []
-    if law == dists.RADEMACHER and p >= 2:
-        out += [bounds.khintchine_bounds(v, p), bounds.comp2_bounds(v, p), bounds.rademacher_bounds(v, p)]
-    if law == dists.SYM_EXPONENTIAL and p >= 2:
-        out.append(bounds.exponential_bounds(v, p))
+    if p >= _LAW_BOUNDS_FROM.get(law, math.inf):
+        if law == dists.RADEMACHER:
+            out += [bounds.khintchine_bounds(v, p), bounds.comp2_bounds(v, p), bounds.rademacher_bounds(v, p)]
+        else:
+            out.append(bounds.exponential_bounds(v, p))
     out = [(bi, _Norm.exact(bi.lower), _Norm.exact(bi.upper)) for bi in out]
-    if p >= 3:
+    if p >= _LOGCONCAVE_BOUNDS_FROM:
         rearranged = coeffs.rearrange(v)
         head_seed = None if seed is None else seed + 1
         head = reference_estimate(coeffs.strict_head(rearranged, p), d, p, samples=samples, seed=head_seed)
@@ -370,6 +404,11 @@ def applicable_bounds(
         gap = bounds.gaussian_approx_gap(v, p)
         out.append((gap, _Norm.exact(gap.lower), _Norm.exact(gap.upper)))
     return out
+
+
+def lowest_bound_order(d: DistributionSpec) -> float:
+    """The lowest p at which applicable_bounds has an interval for d."""
+    return min(_LAW_BOUNDS_FROM.get(summoments.engine_law(d), math.inf), _LOGCONCAVE_BOUNDS_FROM)
 
 
 def check_bounds_sandwich(
@@ -647,7 +686,12 @@ def suite(
     """Run the named checks (default: all) over the default grids; one merged
     report per check, byte-reproducible from the seed.  A check left with
     no order of p_grid in its range is refused (JobValidationError on
-    p_grid) before any check runs."""
+    p_grid) before any check runs.
+
+    cos_product counts every point of its 12 grids as a case, but evaluates
+    only those with |a_1 t| < sqrt 8; check_cos_product certifies the others
+    (margin >= 2) as the grid's t = 0 has margin 0, and its fallback
+    evaluates every point when no evaluated margin lies below 1."""
     wanted = tuple(checks) if checks is not None else SUITE_CHECKS
     ps = tuple(p_grid) if p_grid is not None else DEFAULT_P_GRID
     for c in wanted:
@@ -689,7 +733,7 @@ def suite(
                 if d.kind == dists.WEIBULL_TAIL:
                     vectors.append(CoefficientVector([1.0 / 8.0] * 64))  # many equal terms, near the Gaussian limit
                 for v in vectors:
-                    grid = [x for x in ps if x >= (3 if d.kind == dists.WEIBULL_TAIL else 2)][:4]
+                    grid = [x for x in ps if x >= lowest_bound_order(d)][:4]
                     for p in grid:
                         subs.append(check_bounds_sandwich(v, d, p, case_seed, samples))
                         case_seed += 7

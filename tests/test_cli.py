@@ -485,6 +485,46 @@ class TestBoundsCommand:
         assert est["upper"] == pytest.approx(5.8612, abs=1e-4)
 
 
+class TestNoUsableOrder:
+    """bounds and sweep refuse a p grid on which they would print no record."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--coeffs", "1,2", "--dist", "rademacher", "--p", "1"],
+             "bounds of rademacher sums need p >= 2, got [1.0]"),
+            (["bounds", "--coeffs", "1,2", "--dist", "gaussian", "--p", "1.5,2"],
+             "bounds of gaussian sums need p >= 3, got [1.5, 2.0]"),
+            (["bounds", "--coeffs", "1,2", "--dist", "weibullTail", "--alpha", "2", "--p", "2.5"],
+             "bounds of weibullTail sums need p >= 3, got [2.5]"),
+            (["sweep", "--seed", "1", "--p", "1.5", "--dist", "rademacher"],
+             "sweep rows of rademacher sums need p >= 2, got [1.5]"),
+            (["sweep", "--seed", "1", "--p", "2.5", "--dist", "weibullTail", "--alpha", "3"],
+             "sweep rows of weibullTail sums need p >= 3, got [2.5]"),
+        ],
+    )
+    def test_refused_on_p_naming_the_lowest_order(self, argv, message, fmt, capsys):
+        status, out, err = invoke([*argv, "--format", fmt], capsys)
+        assert status == cli.EXIT_USAGE
+        assert err == f"error: p: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, orders",
+        [
+            # Weibull alpha = 1 is the two-sided exponential: bounds and rows from p = 2
+            (["bounds", "--coeffs", "1,2", "--dist", "weibullTail", "--alpha", "1", "--p", "1.5,2"], {2.0}),
+            (["sweep", "--seed", "1", "--p", "1.5,2", "--dist", "weibullTail", "--alpha", "1"], {2.0}),
+            (["bounds", "--coeffs", "1,2", "--dist", "gaussian", "--p", "2,3"], {3.0}),
+        ],
+    )
+    def test_orders_from_the_lowest_are_kept(self, argv, orders, capsys):
+        status, out, _ = invoke(argv, capsys)
+        assert status == cli.EXIT_OK
+        assert {r["p"] for r in records_of(out)} == orders
+
+
 class TestTinyScales:
     """The l2 norm of tiny coefficients squares nothing that underflows."""
 

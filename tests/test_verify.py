@@ -84,6 +84,68 @@ class TestCosProduct:
         r2 = check_cos_product(CV([2, 1, 0.5]), grid, seed=5)
         assert r1 == r2
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_certified_points_leave_the_report_bitwise_unchanged(self, n):
+        # against every point evaluated: tiny a_1 (nothing certified), zero
+        # vectors, grids without 0, negative t, and grids whose points are
+        # all certified (every point is then evaluated after all)
+        rng = np.random.default_rng(1000 + n)
+        for case in range(12):
+            scale = (1e-310, 0.0, 1e-4, 1.0, 30.0, 1e3)[case % 6]
+            a = coeffs.rearrange(CV(rng.uniform(-1.0, 1.0, n) * scale)).as_array()
+            if case % 6 == 3:
+                a[n // 2 :] = 0.0
+            cut = min(math.sqrt(8.0) / abs(float(a[0])), 1e300) if a[0] else 1.0
+            for t in (
+                default_t_grid(dists.substream(n, case)),
+                rng.uniform(-50.0, 50.0, 400),
+                np.geomspace(1e-3, 1e3, 300),
+                cut * rng.uniform(1.0, 1e3, 50),
+                -cut * rng.uniform(1.0, 1e3, 50),
+            ):
+                m = cos_margins(a, t)
+                want = verify.VerificationReport(
+                    "cos_product", len(t), int(np.sum(m < -1e-12)), float(np.min(m)), 0, 0, case
+                )
+                got = check_cos_product(CV(a), t, seed=case)
+                assert got == want and math.copysign(1.0, got.worst_margin) == math.copysign(1.0, want.worst_margin)
+
+    def test_only_points_below_the_cut_are_evaluated(self, monkeypatch):
+        seen = []
+        margins = verify._cos_product_margins
+        monkeypatch.setattr(verify, "_cos_product_margins", lambda a, t: seen.append(t.size) or margins(a, t))
+        check_cos_product(CV([2, 1, 0.5]), default_t_grid(dists.substream(5, 0)))
+        assert seen == [1416]
+        seen.clear()
+        (rep,) = suite(42, checks=["cos_product"])
+        assert rep.cases == 1_320_012 and len(seen) == 12
+        assert sum(seen) < 60_000
+        # the one margin below the cut, cos 2.5 + 2.5^2/2 - 1 = 1.32, is not
+        # below 1: both points are evaluated
+        seen.clear()
+        assert check_cos_product(CV([1.0]), [2.5, 10.0]).worst_margin == math.cos(2.5) + 3.125 - 1.0
+        assert seen == [1, 2]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point_is_refused(self, bad):
+        with pytest.raises(ValueError, match=rf"t\[1\] = {bad!r} is not finite"):
+            check_cos_product(CV([1.0, 0.5]), [0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("grid", [1.0, [[0.0, 1.0]]])
+    def test_grid_must_be_a_sequence_of_points(self, grid):
+        # a nested grid would count its rows as cases
+        with pytest.raises(ValueError, match="sequence of points"):
+            check_cos_product(CV([1.0]), grid)
+
+    def test_overflowing_square_is_an_infinite_margin(self):
+        # runs with warnings as errors: no overflow may reach numpy's handler
+        r = check_cos_product(CV([1e200, 1.0]), [0.0, 1.0])
+        assert (r.cases, r.violations, r.worst_margin) == (2, 0, 0.0)
+        # nothing below the cut: every point is evaluated, a_1 t finite or not
+        for t in ([1.0], [1.0, 1e300]):
+            r = check_cos_product(CV([1e200, 1.0]), t)
+            assert (r.cases, r.violations, r.worst_margin) == (len(t), 0, math.inf)
+
 
 class TestComparisonChain:
     def test_equality_chain_single_coefficient(self):
