@@ -208,21 +208,45 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _signs(rng: np.random.Generator, size) -> np.ndarray:
+    # fair signs +-1.0, in place on the integer draws' float copy
+    x = rng.integers(0, 2, size).astype(float)
+    x *= 2.0
+    x -= 1.0
+    return x
+
+
 def sample_array(d: DistributionSpec, rng: np.random.Generator, size) -> np.ndarray:
     """Vectorized draws from d using the caller-supplied stream.
 
-    ``size`` may be an int or a shape tuple.
+    ``size`` may be an int or a shape tuple.  The arithmetic runs in place
+    on the draws; multiplying by a sign or by 0 is exact, so the order of
+    the products moves no bit.
     """
     if d.kind == RADEMACHER:
-        return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
+        return _signs(rng, size)
     if d.kind == GAUSSIAN:
         return rng.standard_normal(size)
     if d.kind == SYM_EXPONENTIAL:
         # inverse CDF of Laplace(scale 1/sqrt2): X = -s sign(v) ln(1 - 2|v|)
-        v = rng.random(size) - 0.5
-        z = np.maximum(1.0 - 2.0 * np.abs(v), _OPEN_UNIT_FLOOR)
-        return (-1.0 / SQRT2) * np.sign(v) * np.log(z)
+        v = rng.random(size)
+        v -= 0.5
+        z = np.abs(v)
+        z *= 2.0
+        np.subtract(1.0, z, out=z)
+        np.maximum(z, _OPEN_UNIT_FLOOR, out=z)
+        np.log(z, out=z)
+        np.sign(v, out=v)
+        v *= -1.0 / SQRT2
+        v *= z
+        return v
     # weibullTail: symmetric sign times b * (-ln U)^{1/alpha}
-    sign = rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
-    u = np.maximum(rng.random(size), _OPEN_UNIT_FLOOR)
-    return sign * d.scale * (-np.log(u)) ** (1.0 / d.alpha)
+    x = _signs(rng, size)
+    u = rng.random(size)
+    np.maximum(u, _OPEN_UNIT_FLOOR, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    u **= 1.0 / d.alpha
+    x *= d.scale
+    x *= u
+    return x

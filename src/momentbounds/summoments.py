@@ -337,10 +337,31 @@ def even_sum_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> Mome
 _ENUMERATION_BLOCK = 1 << 20
 
 
-def _enumeration_totals(a: np.ndarray, p: float) -> np.ndarray:
+def _order_runs(p: np.ndarray) -> list[tuple[int, int, float]]:
+    """The runs of equal entries of an array of row orders, as (first row,
+    end row, order); rows sorted by order make one run per distinct order."""
+    edges = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
+    return [(lo, hi, float(p[lo])) for lo, hi in zip(edges, edges[1:])]
+
+
+def _power_rows(x: np.ndarray, p) -> None:
+    """x **= p in place, p an order or one order per row of x.  Row orders
+    are applied one run of equal orders at a time, as the scalar power, so
+    that a row gets the bits of a call at its order alone: numpy squares at
+    p = 2 and takes a square root at p = 0.5, which the elementwise power of
+    an array of orders does not match bit for bit."""
+    if np.ndim(p) == 0:
+        x **= p
+        return
+    for lo, hi, q in _order_runs(p):
+        x[lo:hi] **= q
+
+
+def _enumeration_totals(a: np.ndarray, p) -> np.ndarray:
     """sum |S|^p over the 2^{n-1} sign patterns with eps_1 = +1, for each row
     of a (rows, n) array of unit-scale canonical coefficients (see
-    _canonical), n >= 1.
+    _canonical), n >= 1, at the order p or, for an array p, at each row's
+    order p[i] (see _power_rows).
 
     The patterns are taken in blocks of 2^20: the partial sums of the first
     21 coefficients are built once, and each sign pattern of the remaining
@@ -358,6 +379,7 @@ def _enumeration_totals(a: np.ndarray, p: float) -> np.ndarray:
     totals = np.zeros(rows)
     for lo in range(0, rows, chunk):
         part = a[lo : lo + chunk]
+        order = p if np.ndim(p) == 0 else p[lo : lo + chunk]
         head, rest = part[:, :split], part[:, split:]
         # fix eps_1 = +1, build the block's partial sums by in-place doubling
         base = np.empty((len(part), width))
@@ -371,7 +393,9 @@ def _enumeration_totals(a: np.ndarray, p: float) -> np.ndarray:
         # a power past the float range is inf, which MomentEstimate.scaled refuses
         with np.errstate(over="ignore"):
             if rest.shape[1] == 0:
-                totals[lo : lo + chunk] = np.sum(np.abs(base) ** p, axis=1)
+                np.abs(base, out=base)
+                _power_rows(base, order)
+                totals[lo : lo + chunk] = np.sum(base, axis=1)
                 continue
             # bit k of the pattern set means eps = -1 on rest[:, k]; this is
             # the order of the 2^20-element chunks of the whole 2^{n-1} sweep
@@ -384,7 +408,7 @@ def _enumeration_totals(a: np.ndarray, p: float) -> np.ndarray:
                     else:
                         block += rest[:, k : k + 1]
                 np.abs(block, out=block)
-                block **= p
+                _power_rows(block, order)
                 totals[lo : lo + chunk] += np.sum(block, axis=1)
     return totals
 
@@ -431,7 +455,7 @@ def _residue_rows(a: np.ndarray) -> tuple[np.ndarray, list[MomentBoundsError | N
         c = np.where(eye, 1.0, s[:, :, None] / diffs).prod(axis=2)
         mass = np.abs(c).sum(axis=1)
 
-    def refusal(i: int) -> MomentBoundsError | None:
+    def refusal(i: int) -> MomentBoundsError:
         if zero[i]:
             return DegenerateCoefficientsError(
                 "partial fractions require all coefficients nonzero; use the charFunction or recursion engine"
@@ -441,23 +465,33 @@ def _residue_rows(a: np.ndarray) -> tuple[np.ndarray, list[MomentBoundsError | N
                 f"squared coefficients closer than relative gap {PARTIAL_FRACTION_GAP:g}; "
                 "use the charFunction or recursion engine"
             )
-        if mass[i] > RESIDUE_MAGNITUDE_CAP:
-            return ResidueCancellationError(
-                f"residue mass sum |c| exceeds {RESIDUE_MAGNITUDE_CAP:g}: "
-                "catastrophic cancellation; use the charFunction or recursion engine"
-            )
-        return None
+        return ResidueCancellationError(
+            f"residue mass sum |c| exceeds {RESIDUE_MAGNITUDE_CAP:g}: "
+            "catastrophic cancellation; use the charFunction or recursion engine"
+        )
 
-    return c, [refusal(i) for i in range(rows)]
+    refusals: list[MomentBoundsError | None] = [None] * rows
+    for i in np.flatnonzero(zero | crowded | (mass > RESIDUE_MAGNITUDE_CAP)).tolist():
+        refusals[i] = refusal(i)
+    return c, refusals
 
 
-def _partial_fraction_rows(a: np.ndarray, p: float) -> tuple[np.ndarray, list[MomentBoundsError | None]]:
+def _partial_fraction_rows(a: np.ndarray, p) -> tuple[np.ndarray, list[MomentBoundsError | None]]:
     """E|sum a_i E_i|^p = Gamma(p+1) sum_i c_i (|a_i|/sqrt2)^p for each row of
     a (rows, n) array of unit-scale canonical coefficients, with each row's
-    refusal (None where the row has a moment)."""
+    refusal (None where the row has a moment).  p is an order or, as an
+    array, each row's order; p enters by products and sums only, so a row
+    gets the bits of a call at its order alone."""
     c, refusals = _residue_rows(a)
+    if np.ndim(p) == 0:
+        lg = log_gamma(p + 1.0)
+    else:
+        lg = np.empty((len(p), 1))
+        for lo, hi, q in _order_runs(p):
+            lg[lo:hi] = log_gamma(q + 1.0)
+        p = p[:, None]
     with np.errstate(all="ignore"):
-        raw = (c * np.exp(log_gamma(p + 1.0) + p * np.log(a / SQRT2))).sum(axis=1)
+        raw = (c * np.exp(lg + p * np.log(a / SQRT2))).sum(axis=1)
     for i, refusal in enumerate(refusals):
         if refusal is None and raw[i] <= 0.0:
             refusals[i] = ResidueCancellationError(
@@ -781,7 +815,8 @@ def monte_carlo_sum_moments(
         for p in ps:
             x = abs_s**p
             sums[p] += float(np.sum(x))
-            sq_sums[p] += float(np.sum(x * x))
+            x *= x
+            sq_sums[p] += float(np.sum(x))
         done += m
         block_index += 1
     out = []

@@ -212,7 +212,7 @@ def sample_coefficient_vector(
     head-dominated (spiked)."""
     if regime is None:
         regime = COEFFICIENT_REGIMES[int(rng.integers(0, len(COEFFICIENT_REGIMES)))]
-    signs = rng.choice([-1.0, 1.0], n)
+    signs = dists._signs(rng, n)  # the draw and values of rng.choice([-1.0, 1.0], n)
     if regime == "uniform":
         vals = rng.uniform(-1.0, 1.0, n)
     elif regime == "geometric":
@@ -527,74 +527,133 @@ class _Chain(NamedTuple):
 
 def _draw_chain(cfg: SearchConfig, rng: np.random.Generator, length: int) -> _Chain:
     """The numbers of one chain of `length` iterations, drawn in the order in
-    which a one-iteration-at-a-time hill-climb draws them."""
+    which a one-iteration-at-a-time hill-climb draws them.  The cosine-product
+    draws are written in place: rng.random times 100 is uniform(0, 100) bit
+    for bit, which computes 0 + 100 u from the same u."""
     if cfg.check == "rec2":
         start = np.array([float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0))])
     else:
         n = int(rng.integers(1, cfg.n_max + 1))
         start = coeffs.rearrange(sample_coefficient_vector(rng, n)).as_array()
     if cfg.check != "cos_product":
-        p = float(rng.choice(_check_orders(cfg.check, cfg.p_grid)))
+        orders = _check_orders(cfg.check, cfg.p_grid)
+        p = float(orders[int(rng.integers(len(orders)))])  # the draw of rng.choice(orders)
         return _Chain(start, p, rng.standard_normal((length - 1, len(start))), np.empty((length, 0)))
     normals = np.empty((length - 1, len(start)))
     points = np.empty((length, 32))
     for it in range(length):
         if it:
-            normals[it - 1] = rng.standard_normal(len(start))
-        points[it] = rng.uniform(0.0, 100.0, 32)
+            rng.standard_normal(out=normals[it - 1])
+        rng.random(out=points[it])
+    points *= 100.0
     return _Chain(start, None, normals, points)
 
 
-def _search_margins(check: str, v: np.ndarray, p: float | None, t: np.ndarray | None) -> np.ndarray:
-    """Worst margin of each instance of one (n, p) group, exact engines only:
-    rows v of rearranged coefficients (a and b for rec2), at the points t
-    (cos_product).  Rows that partial fractions refuse take the exponential
-    ladder with no seed, which ends in charFunction or the recursion and
-    does not reach Monte Carlo."""
+def _cos_product_minima(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each row's least cosine-product margin over its points: rows a of
+    rearranged coefficients, points t (rows, m).  Only the (row, point) pairs
+    with |a_1 t| < sqrt 8 are evaluated; the others have margin at least 2
+    (see check_cos_product), so when every row has an evaluated margin below
+    1 its minimum is the full evaluation's, bit for bit.  Otherwise every
+    point is evaluated.  Batches hold at most _WORKING_SET elements of
+    points x coefficients."""
+    n = a.shape[1]
+    with np.errstate(divide="ignore", over="ignore"):
+        cut = math.sqrt(8.0) / a[:, 0]  # inf for a zero row or past the float range
+    rows, cols = np.nonzero(np.abs(t) < cut[:, None])
+    step = max(1, _WORKING_SET // n)
+    near = [
+        _cos_product_margins(a[rows[i : i + step]], t[rows[i : i + step], cols[i : i + step], None])[:, 0]
+        for i in range(0, len(rows), step)
+    ]
+    counts = np.bincount(rows, minlength=len(a))
+    if counts.all():
+        least = np.minimum.reduceat(np.concatenate(near), np.cumsum(counts) - counts)
+        if (least < 1.0).all():
+            return least
+    step = max(1, _WORKING_SET // (t.shape[1] * n))
+    return np.concatenate(
+        [np.min(_cos_product_margins(a[i : i + step], t[i : i + step]), axis=1) for i in range(0, len(a), step)]
+    )
+
+
+def _search_margins(check: str, v: np.ndarray, p: np.ndarray | None, t: np.ndarray | None) -> np.ndarray:
+    """Worst margin of each instance of one group of rows with the same n,
+    exact engines only: rows v of rearranged coefficients (a and b for
+    rec2), each at its own order p[i] (None for cos_product), at the points
+    t (cos_product; see _cos_product_minima).
+
+    A row gets the bits it gets alone.  The order-free pieces (the
+    canonical form, the residues and the whole-vector l2 norms) are computed
+    once per call, the comp2 tail split once per distinct ceil(p/2).  An
+    empty tail has norm 0.  Tail rows that partial fractions refuse take the
+    exponential ladder with no seed, which ends in charFunction or the
+    recursion and does not reach Monte Carlo."""
     if check == "cos_product":
-        step = max(1, _WORKING_SET // (t.shape[1] * v.shape[1]))
-        return np.concatenate(
-            [np.min(_cos_product_margins(v[i : i + step], t[i : i + step]), axis=1) for i in range(0, len(v), step)]
-        )
+        return _cos_product_minima(v, t)
+    ps = p.tolist()
     if check == "rec2":
         out = []
-        for a, b in v.tolist():
-            lhs = dists.single_moment_rademacher(a, b, p)
-            rhs = abs(b) ** p + 0.5 * p * (p - 1.0) * a * a * abs(b) ** (p - 2.0)
+        for (a, b), q in zip(v.tolist(), ps):
+            lhs = dists.single_moment_rademacher(a, b, q)
+            rhs = abs(b) ** q + 0.5 * q * (q - 1.0) * a * a * abs(b) ** (q - 2.0)
             out.append((lhs - rhs) / max(1.0, abs(rhs)))
         return np.array(out)
     n = v.shape[1]
     y, e = summoments._canonical(v)
     totals = (summoments._enumeration_totals(y, p) / (1 << (n - 1))).tolist()
-    rad = [summoments._scaled_norm(m, x, p) for m, x in zip(totals, e)]
-    rest = v[:, min(coeffs.half_ceil(p) - 1, n) :] if check == "comp2" else v[:, 1:]
+    rad = np.array([summoments._scaled_norm(m, x, q) for m, x, q in zip(totals, e, ps)])
+    # the tail: from coefficient ceil(p/2) (comp2) or 2 (p24) on
+    cuts = {q: min(coeffs.half_ceil(q) - 1, n) if check == "comp2" else 1 for q in set(ps)}
+    first = np.array([cuts[q] for q in ps])
+    lap, tail = np.zeros(len(v)), np.zeros(len(v))
+    for c in set(cuts.values()) - {n}:
+        rows = np.flatnonzero(first == c)
+        rest = v[rows, c:]
+        lap[rows] = _laplace_norms(rest, p[rows])
+        tail[rows] = coeffs._l2_rows(rest)
+    if check == "p24":
+        return rad - lap
+    g = {q: gamma_p(q) for q in set(ps)}
+    gs = np.array([g[q] for q in ps])
+    # min(upper, middle, lower) with Python's min: the first of equal links
+    links = (gs * np.array(coeffs._l2_rows(v)) - rad, rad - lap, lap - gs * tail)
+    least = links[0]
+    for link in links[1:]:
+        least = np.where(link < least, link, least)
+    return least
+
+
+def _laplace_norms(rest: np.ndarray, p: np.ndarray) -> list[float]:
+    """||sum rest_i E_i||_p of each nonempty row at its order: partial
+    fractions, and the exponential ladder for the rows it refuses (equal
+    rows share one ladder walk)."""
     y, e = summoments._canonical(rest)
     moments, refusals = summoments._partial_fraction_rows(y, p)
-    # equal rows (above all, the empty tails of small n) share one ladder walk
-    rows = [tuple(row) for row in rest.tolist()]
-    refused = {row for row, refusal in zip(rows, refusals) if refusal is not None}
-    ladder = {row: reference_estimate(CoefficientVector(row), dists.sym_exponential(), p).value for row in refused}
-    lap = [ladder[row] if row in ladder else summoments._scaled_norm(m, x, p)
-           for m, x, row in zip(moments.tolist(), e, rows)]
-    if check == "p24":
-        return np.array([x - y for x, y in zip(rad, lap)])
-    g = gamma_p(p)
-    return np.array(
-        [
-            min(g * whole - x, x - y, y - g * tail)
-            for x, y, whole, tail in zip(rad, lap, coeffs._l2_rows(v), coeffs._l2_rows(rest))
-        ]
-    )
+    out = []
+    ladder: dict[tuple, float] = {}
+    for m, x, q, row, refusal in zip(moments.tolist(), e, p.tolist(), rest.tolist(), refusals):
+        if refusal is None:
+            out.append(summoments._scaled_norm(m, x, q))
+            continue
+        key = (q, *row)
+        if key not in ladder:
+            ladder[key] = reference_estimate(CoefficientVector(row), dists.sym_exponential(), q).value
+        out.append(ladder[key])
+    return out
 
 
 def _climb(check: str, chains: list[_Chain], slack: float) -> tuple[list[float], np.ndarray, int]:
-    """Advance chains of one (n, p, length) group side by side, one
-    iteration at a time: perturb each chain's best state, score all rows in
-    one batch, and keep the better rows.  Returns each chain's worst margin
-    with its first instance, and the count of margins below -slack."""
+    """Advance chains of one (n, length) group side by side, one iteration
+    at a time: perturb each chain's best state, score all rows in one call,
+    each at its chain's order, and keep the better rows.  Returns each
+    chain's worst margin with its first instance, and the count of margins
+    below -slack.  An OverflowError names the check and the lowest order of
+    the group that overflows alone."""
     state = np.stack([c.start for c in chains])
     normals = np.stack([c.normals for c in chains])
     points = np.stack([c.points for c in chains])
+    orders = None if check == "cos_product" else np.array([c.p for c in chains])
     fixed = np.broadcast_to(np.geomspace(1e-3, 50.0, 64), (len(chains), 64))
     best = np.full(len(chains), math.inf)
     violations = 0
@@ -606,7 +665,15 @@ def _climb(check: str, chains: list[_Chain], slack: float) -> tuple[list[float],
         else:
             inst = -np.sort(-np.abs(state * (1.0 + 0.15 * normals[:, it - 1])), axis=1)
         t = np.concatenate([fixed, points[:, it]], axis=1) if check == "cos_product" else None
-        margins = _search_margins(check, inst, chains[0].p, t)
+        try:
+            margins = _search_margins(check, inst, orders, t)
+        except OverflowError:
+            for q in sorted(set(orders.tolist())):
+                try:
+                    _search_margins(check, inst[orders == q], orders[orders == q], t)
+                except OverflowError as exc:
+                    raise OverflowError(f"the {check} search at p={q!r}: {exc}") from None
+            raise
         violations += int(np.count_nonzero(margins < -slack))
         better = margins < best
         best[better] = margins[better]
@@ -624,10 +691,13 @@ def search_counterexamples(config: SearchConfig) -> VerificationReport:
     perturbs the best state of its chain.  How many numbers an iteration
     draws never depends on a margin, so the numbers of a window of chains
     are drawn first, in stream order, and the chains of the window then
-    advance side by side, batched by (n, p) and chain length.  The report
+    advance side by side, batched by n and chain length: one scoring call
+    per step takes every chain that shares n, each at its own order, and
+    the cosine-product scoring skips the points it certifies.  The report
     is the one the one-iteration-at-a-time loop gives, bit for bit: the
     first witness of the worst margin, and the count of margins below the
-    slack.
+    slack.  OverflowError names the check and the order p past the float
+    range.
     """
     rng = dists.substream(config.seed, 0)
     slack = COS_PRODUCT_SLACK if config.check == "cos_product" else NUMERICAL_SLACK * 10
@@ -645,8 +715,9 @@ def search_counterexamples(config: SearchConfig) -> VerificationReport:
             drawn += window[-1].size
             done += 1
         groups: dict[tuple, list[int]] = {}
-        for i, chain in enumerate(window):
-            groups.setdefault((len(chain.start), chain.p, len(chain.normals)), []).append(i)
+        # rows sorted by order score each distinct order as one run
+        for i in sorted(range(len(window)), key=lambda i: window[i].p or 0.0):
+            groups.setdefault((len(window[i].start), len(window[i].normals)), []).append(i)
         found: dict[int, tuple[float, np.ndarray]] = {}
         for members in groups.values():
             best, state, bad = _climb(config.check, [window[i] for i in members], slack)

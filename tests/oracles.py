@@ -119,6 +119,23 @@ def enumeration_moment(values, p: float) -> float:
     return total / (1 << n)
 
 
+def sample_array_reference(d, rng, size):
+    """dists.sample_array's formulas with a temporary per step, as they read
+    before its arithmetic ran in place: the same draw calls, in the same
+    order."""
+    if d.kind == "rademacher":
+        return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
+    if d.kind == "gaussian":
+        return rng.standard_normal(size)
+    if d.kind == "symExponential":
+        v = rng.random(size) - 0.5
+        z = np.maximum(1.0 - 2.0 * np.abs(v), 5e-324)
+        return (-1.0 / SQRT2) * np.sign(v) * np.log(z)
+    sign = rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
+    u = np.maximum(rng.random(size), 5e-324)
+    return sign * d.scale * (-np.log(u)) ** (1.0 / d.alpha)
+
+
 def _tail_exponent(d, x):
     """N(x) = -ln P(|X| >= x), vectorized over x >= 1, from the law's closed
     tail."""

@@ -718,6 +718,24 @@ class TestSearchCommand:
         assert err.startswith(f"error: {field}:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # log-gamma of the order overflows
+            (["comp2", "--p", "1e308", "--iterations", "10"], "the comp2 search at p=1e+308: math range error"),
+            # |b|^p overflows; the message after the order is the C library's
+            (["rec2", "--p", "1e6", "--iterations", "10"], "the rec2 search at p=1000000.0: "),
+            # chains at p = 3 score in the same calls and do not overflow
+            (["rec2", "--p", "3,1e6", "--iterations", "100"], "the rec2 search at p=1000000.0: "),
+        ],
+        ids=["comp2", "rec2", "rec2-mixed-orders"],
+    )
+    def test_order_past_the_float_range_names_check_and_order(self, argv, message, capsys):
+        status, out, err = invoke(["search", "--seed", "1", "--checks", *argv], capsys)
+        assert status == cli.EXIT_CAPACITY
+        assert err.startswith(f"error: result out of float range: {message}")
+        assert out == ""
+
     def test_checks_without_enumeration_or_order_take_any(self, capsys):
         argv = ["search", "--checks", "cos_product", "--nmax", "40", "--p", "1.5", "--iterations", "30", "--seed", "1"]
         status, out, _ = invoke(argv, capsys)

@@ -210,6 +210,23 @@ class TestSampling:
         assert abs(x.mean()) < 0.005
         assert x.var() == pytest.approx(1.0, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "d",
+        [dists.rademacher(), dists.sym_exponential(), dists.gaussian()]
+        + [dists.weibull_tail(alpha) for alpha in (1.0, 1.5, 2.0, 3.0)],
+        ids=lambda d: f"{d.kind}-{d.alpha}",
+    )
+    def test_in_place_draws_keep_every_bit(self, d):
+        # the same bits, dtype and shape as the formulas with temporaries,
+        # and the stream left at the same place
+        for seed in (0, 1, 42):
+            for size in (1, 7, (3, 5), (1 << 16, 8)):
+                rng, ref = substream(seed, 3), substream(seed, 3)
+                got, want = sample_array(d, rng, size), oracles.sample_array_reference(d, ref, size)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), (seed, size)
+                assert rng.random() == ref.random()
+
     def test_substreams_reproducible_and_distinct(self):
         a = sample_array(dists.gaussian(), substream(7, 0), 8)
         b = sample_array(dists.gaussian(), substream(7, 0), 8)

@@ -236,6 +236,31 @@ class TestRowKernels:
             got = self.estimates(totals.tolist(), e, p, "enumeration")
             assert got == [rademacher_sum_moment(CV(row), p) for row in a]
 
+    @pytest.mark.parametrize("n, rows", [(4, 13), (22, 4), (26, 2)])
+    def test_row_orders_give_the_scalar_bits(self, n, rows):
+        # unsorted orders, 2 among them (numpy squares there); n = 22 and 26
+        # run the pattern loop over the coefficients past the block
+        a = np.random.default_rng(n).uniform(0.1, 2.0, (rows, n))
+        y, _ = summoments._canonical(a)
+        p = np.resize([2.0, 12.5, 3.0, 2.5, 2.0, 3.0], rows)
+        got = summoments._enumeration_totals(y, p)
+        want = [summoments._enumeration_totals(y[i : i + 1], q)[0] for i, q in enumerate(p.tolist())]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_partial_fraction_row_orders_and_refusals(self):
+        a = -np.sort(-np.random.default_rng(6).uniform(0.1, 2.0, (12, 4)), axis=1)
+        a[3, 1] = a[3, 0]  # equal squares
+        a[7, 3] = 0.0
+        y, _ = summoments._canonical(a)
+        p = np.resize([2.0, 12.5, 3.0, 2.5], len(a))
+        moments, refusals = summoments._partial_fraction_rows(y, p)
+        for i, q in enumerate(p.tolist()):
+            (m,), (refusal,) = summoments._partial_fraction_rows(y[i : i + 1], q)
+            assert repr(refusals[i]) == repr(refusal)
+            if refusal is None:
+                assert moments[i].tobytes() == m.tobytes()
+        assert [r is None for r in refusals].count(False) == 2
+
     def test_partial_fraction_rows_and_refusals(self):
         a = -np.sort(-np.random.default_rng(5).uniform(0.1, 2.0, (40, 4)), axis=1)
         a[3, 1] = a[3, 0]  # equal squares
@@ -631,6 +656,34 @@ class TestMonteCarlo:
         c = monte_carlo_sum_moment(CV([1, 2]), dists.gaussian(), 3, 10**5, 43)
         assert a == b
         assert a.raw_moment != c.raw_moment
+
+    @pytest.mark.parametrize(
+        "d",
+        [dists.rademacher(), dists.sym_exponential(), dists.gaussian(), dists.weibull_tail(1.5)],
+        ids=lambda d: f"{d.kind}-{d.alpha}",
+    )
+    def test_in_place_arithmetic_keeps_every_bit(self, d):
+        # the estimates of the loop that squared into a temporary and drew
+        # from the sampler's formulas with temporaries
+        ps = [1.0, 2.0, 2.5, 4.0]
+        for seed in (3, 11):
+            for values, samples in (([1.0], 10_000), ([0.5, -2.0, 0.25], 70_001)):
+                (y,), (e,) = summoments._canonical(np.array(values))
+                sums, squares = dict.fromkeys(ps, 0.0), dict.fromkeys(ps, 0.0)
+                for block, lo in enumerate(range(0, samples, 1 << 16)):
+                    size = (min(1 << 16, samples - lo), len(y))
+                    abs_s = np.abs(oracles.sample_array_reference(d, dists.substream(seed, block), size) @ y)
+                    for p in ps:
+                        x = abs_s**p
+                        sums[p] += float(np.sum(x))
+                        squares[p] += float(np.sum(x * x))
+                want = []
+                for p in ps:
+                    mean = sums[p] / samples
+                    var = max(squares[p] - samples * mean * mean, 0.0) / (samples - 1)
+                    halfwidth = summoments._scale_moment(3.0 * math.sqrt(var / samples), e, p)
+                    want.append(MomentEstimate.scaled(p, mean, e, "monteCarlo", Rigor.ci(halfwidth, 0.997)))
+                assert monte_carlo_sum_moments(CV(values), d, ps, samples, seed) == want
 
     def test_rejects_small_sample_counts(self):
         with pytest.raises(ValueError):

@@ -316,6 +316,40 @@ class TestSearch:
             want = verify.VerificationReport("cos_product", len(grid), violations, float(np.min(m)), 0, 0, 3)
             assert check_cos_product(v, grid, seed=3) == want
 
+    def test_cos_product_search_skips_certified_points(self, monkeypatch):
+        # 64 fixed and 32 random points an iteration; those with
+        # |a_1 t| >= sqrt 8 have margin >= 2 and are not evaluated
+        margins = verify._cos_product_margins
+        evaluated = []
+
+        def counted(a, t):
+            evaluated.append(t.size)
+            return margins(a, t)
+
+        monkeypatch.setattr(verify, "_cos_product_margins", counted)
+        search_counterexamples(SearchConfig("cos_product", iterations=10_000, seed=3))
+        assert sum(evaluated) == 520_449  # of 10,000 x 96 = 960,000
+
+    @pytest.mark.parametrize(
+        "a, t",
+        [
+            # the first row has no point below the cut
+            ([[1000.0, 1.0], [0.5, 0.25]], np.geomspace(0.01, 20.0, 40)),
+            # its points below the cut have margins >= 1 only
+            ([[1.0, 0.5], [0.5, 0.25]], np.linspace(2.5, 20.0, 40)),
+        ],
+    )
+    def test_cos_product_scoring_falls_back_to_every_point(self, a, t, monkeypatch):
+        a, t = np.array(a), np.broadcast_to(t, (2, 40))
+        margins = verify._cos_product_margins
+        full = np.min(margins(a, t), axis=1)
+        shapes = []
+        monkeypatch.setattr(verify, "_cos_product_margins", lambda a, t: shapes.append(t.shape) or margins(a, t))
+        got = verify._search_margins("cos_product", a, None, t)
+        assert got.tobytes() == full.tobytes()
+        assert got[0] >= 1.0 > got[1]
+        assert shapes[-1] == (2, 40)
+
     def test_p_grid_must_meet_the_check(self):
         for check, grid in (("comp2", (1.5,)), ("p24", (5.0, 6.0)), ("rec2", (2.5,))):
             with pytest.raises(ValueError, match=check):
