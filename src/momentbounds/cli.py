@@ -297,7 +297,9 @@ def _run_bounds(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     d = _distribution(job)
     records = []
     for p in _orders_from(verify.lowest_bound_order(d), job.p, f"bounds of {d.kind} sums"):
-        for bi, _, _ in verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed):
+        with verify._overflow_named("the bounds command", p):
+            found = verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed)
+        for bi, _, _ in found:
             records.append(
                 {
                     **envelope,
@@ -392,9 +394,9 @@ def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 else verify.sample_coefficient_vector(rng, n, family)
             )
             for p in ps:
-                est = verify.reference_estimate(
-                    v, d, p, samples=job.samples, seed=job.seed + case
-                )
+                with verify._overflow_named("the sweep command", p):
+                    est = verify.reference_estimate(v, d, p, samples=job.samples, seed=job.seed + case)
+                    found = verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed)
                 row = {
                     **envelope,
                     "family": family,
@@ -408,7 +410,7 @@ def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 for src in bounds.BOUND_SOURCES:
                     row[f"{src}_lower"] = None
                     row[f"{src}_upper"] = None
-                for bi, _, _ in verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed):
+                for bi, _, _ in found:
                     row[f"{bi.source}_lower"] = bi.lower
                     row[f"{bi.source}_upper"] = bi.upper
                 records.append(row)

@@ -340,19 +340,17 @@ _ENUMERATION_BLOCK = 1 << 20
 def _order_runs(p: np.ndarray) -> list[tuple[int, int, float]]:
     """The runs of equal entries of an array of row orders, as (first row,
     end row, order); rows sorted by order make one run per distinct order."""
-    edges = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
-    return [(lo, hi, float(p[lo])) for lo, hi in zip(edges, edges[1:])]
+    q = p.tolist()
+    edges = [0, *(i for i in range(1, len(q)) if q[i] != q[i - 1]), len(q)]
+    return [(lo, hi, q[lo]) for lo, hi in zip(edges, edges[1:])]
 
 
-def _power_rows(x: np.ndarray, p) -> None:
-    """x **= p in place, p an order or one order per row of x.  Row orders
-    are applied one run of equal orders at a time, as the scalar power, so
-    that a row gets the bits of a call at its order alone: numpy squares at
-    p = 2 and takes a square root at p = 0.5, which the elementwise power of
-    an array of orders does not match bit for bit."""
-    if np.ndim(p) == 0:
-        x **= p
-        return
+def _power_rows(x: np.ndarray, p: np.ndarray) -> None:
+    """x **= p[i] in place on each row i of x.  The orders are applied one
+    run of equal orders at a time, each as a scalar power, so that a row
+    gets the bits of a call at its order alone: numpy squares at p = 2 and
+    takes a square root at p = 0.5, which the elementwise power of an array
+    of orders does not match bit for bit."""
     for lo, hi, q in _order_runs(p):
         x[lo:hi] **= q
 
@@ -360,8 +358,8 @@ def _power_rows(x: np.ndarray, p) -> None:
 def _enumeration_totals(a: np.ndarray, p) -> np.ndarray:
     """sum |S|^p over the 2^{n-1} sign patterns with eps_1 = +1, for each row
     of a (rows, n) array of unit-scale canonical coefficients (see
-    _canonical), n >= 1, at the order p or, for an array p, at each row's
-    order p[i] (see _power_rows).
+    _canonical), n >= 1, at the order p (a scalar, or one order per row;
+    see _power_rows).
 
     The patterns are taken in blocks of 2^20: the partial sums of the first
     21 coefficients are built once, and each sign pattern of the remaining
@@ -373,13 +371,13 @@ def _enumeration_totals(a: np.ndarray, p) -> np.ndarray:
     a row gets the same bits in any batch.
     """
     rows, n = a.shape
+    p = np.full(rows, p, dtype=float)
     split = _ENUMERATION_BLOCK.bit_length()
     width = 1 << (min(n, split) - 1)
     chunk = _ENUMERATION_BLOCK // width
     totals = np.zeros(rows)
     for lo in range(0, rows, chunk):
-        part = a[lo : lo + chunk]
-        order = p if np.ndim(p) == 0 else p[lo : lo + chunk]
+        part, order = a[lo : lo + chunk], p[lo : lo + chunk]
         head, rest = part[:, :split], part[:, split:]
         # fix eps_1 = +1, build the block's partial sums by in-place doubling
         base = np.empty((len(part), width))
@@ -479,19 +477,16 @@ def _residue_rows(a: np.ndarray) -> tuple[np.ndarray, list[MomentBoundsError | N
 def _partial_fraction_rows(a: np.ndarray, p) -> tuple[np.ndarray, list[MomentBoundsError | None]]:
     """E|sum a_i E_i|^p = Gamma(p+1) sum_i c_i (|a_i|/sqrt2)^p for each row of
     a (rows, n) array of unit-scale canonical coefficients, with each row's
-    refusal (None where the row has a moment).  p is an order or, as an
-    array, each row's order; p enters by products and sums only, so a row
-    gets the bits of a call at its order alone."""
+    refusal (None where the row has a moment).  p is a scalar order or one
+    order per row; it enters by products and sums only, so a row gets the
+    bits of a call at its order alone."""
     c, refusals = _residue_rows(a)
-    if np.ndim(p) == 0:
-        lg = log_gamma(p + 1.0)
-    else:
-        lg = np.empty((len(p), 1))
-        for lo, hi, q in _order_runs(p):
-            lg[lo:hi] = log_gamma(q + 1.0)
-        p = p[:, None]
+    p = np.full(len(a), p, dtype=float)
+    lg = np.empty((len(a), 1))
+    for lo, hi, q in _order_runs(p):
+        lg[lo:hi] = log_gamma(q + 1.0)
     with np.errstate(all="ignore"):
-        raw = (c * np.exp(lg + p * np.log(a / SQRT2))).sum(axis=1)
+        raw = (c * np.exp(lg + p[:, None] * np.log(a / SQRT2))).sum(axis=1)
     for i, refusal in enumerate(refusals):
         if refusal is None and raw[i] <= 0.0:
             refusals[i] = ResidueCancellationError(
@@ -812,11 +807,12 @@ def monte_carlo_sum_moments(
         m = min(_MC_BLOCK, samples - done)
         rng = dists.substream(seed, block_index)
         abs_s = np.abs(dists.sample_array(d, rng, (m, len(y))) @ y)
-        for p in ps:
-            x = abs_s**p
-            sums[p] += float(np.sum(x))
-            x *= x
-            sq_sums[p] += float(np.sum(x))
+        with np.errstate(over="ignore"):  # an inf power is refused below
+            for p in ps:
+                x = abs_s**p
+                sums[p] += float(np.sum(x))
+                x *= x
+                sq_sums[p] += float(np.sum(x))
         done += m
         block_index += 1
     out = []

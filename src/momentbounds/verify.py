@@ -17,6 +17,7 @@ substreams, and merges use a fixed fold.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -234,6 +235,16 @@ def default_t_grid(rng: np.random.Generator | None = None) -> np.ndarray:
     return np.concatenate([grid, rng.uniform(0.0, 1e4, 10_000)])
 
 
+@contextmanager
+def _overflow_named(what: str, p: float):
+    """Re-raise an OverflowError as one that names what overflowed and the
+    order p it ran at."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise OverflowError(f"{what} at p={p!r}: {exc}") from None
+
+
 # --- deterministic checks ---------------------------------------------------------
 
 
@@ -245,10 +256,41 @@ def _cos_product_margins(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return np.zeros(t.shape)
     lhs = np.prod(np.cos(t[:, :, None] * a[:, None, :]), axis=2) + 0.5 * (a[:, :1] * t) ** 2
-    if a.shape[1] == 1:
-        return lhs - 1.0
     rhs = np.exp(-np.sum(np.log1p(0.5 * (t[:, :, None] * a[:, None, 1:]) ** 2), axis=2))
     return lhs - rhs
+
+
+def _cos_product_scores(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The cosine-product margins of rows a (rows, n) of rearranged
+    coefficients at their points t (rows, m), +inf at the certified points.
+
+    Where |a_1 t| >= sqrt 8 the left side is at least (a_1 t)^2/2 - 1 >= 3
+    and the right side at most 1, so the margin is at least 2, less n + 3
+    roundings.  The points with |t| < sqrt(8)/|a_1| are evaluated first,
+    then the other points of each row with no evaluated margin below 1
+    (+inf where a_1 t leaves the float range).  So each row's minimum and
+    count of margins below any slack under 1 are the full evaluation's, bit
+    for bit.  Batches hold at most _WORKING_SET points x coefficients."""
+    rows, n = a.shape
+    step = max(1, _WORKING_SET // max(n, 1))
+    a1 = np.abs(a[:, :1]) if n else np.zeros((rows, 1))
+    # |t|, then the margins: a second (rows, m) buffer costs the suite's
+    # 12 grids about 2,400 page faults in a fresh process
+    margins = np.abs(t)
+
+    def evaluate(r: np.ndarray, c: np.ndarray) -> None:
+        for i in range(0, len(r), step):
+            ri, ci = r[i : i + step], c[i : i + step]
+            margins[ri, ci] = _cos_product_margins(a[ri], t[ri, ci, None])[:, 0]
+
+    with np.errstate(divide="ignore", over="ignore"):
+        near = margins < math.sqrt(8.0) / a1  # a zero or tiny a_1 certifies nothing
+        margins.fill(math.inf)
+        evaluate(*np.divmod(np.flatnonzero(near), t.shape[1]))
+        left = np.flatnonzero(~(margins < 1.0).any(axis=1))
+        r, c = np.divmod(np.flatnonzero(~near[left] & np.isfinite(a1[left] * t[left])), t.shape[1])
+        evaluate(left[r], c)
+    return margins
 
 
 def check_cos_product(v: CoefficientVector, t_grid: ArrayLike, seed: int = 0) -> VerificationReport:
@@ -257,14 +299,11 @@ def check_cos_product(v: CoefficientVector, t_grid: ArrayLike, seed: int = 0) ->
     (the hypothesis |a_1| >= ... >= |a_n|) and the grid a sequence of finite
     points.
 
-    Where |a_1 t| >= sqrt 8 the inequality is trivial: the left side is at
-    least (a_1 t)^2/2 - 1 >= 3 and the right side at most 1, so the margin
-    is at least 2, less n + 3 roundings.  Those points are certified, not
-    evaluated, when some evaluated margin lies below 1: such a point is then
-    neither a violation nor the minimum.  The default grid always qualifies,
-    as its t = 0 has margin 0.  Otherwise every point is evaluated.  Either
-    way the report is the full evaluation's, bit for bit.  A margin whose
-    (a_1 t)^2 leaves the float range is +inf."""
+    The points with |a_1 t| >= sqrt 8, where the margin is at least 2, are
+    certified rather than evaluated when some evaluated margin lies below 1
+    (see _cos_product_scores).  The default grid always qualifies, as its
+    t = 0 has margin 0.  Either way the report is the full evaluation's,
+    bit for bit."""
     if not v.is_rearranged():
         raise ValueError("check_cos_product requires a rearranged vector")
     t = np.asarray(t_grid, dtype=float)
@@ -273,16 +312,7 @@ def check_cos_product(v: CoefficientVector, t_grid: ArrayLike, seed: int = 0) ->
     if not np.isfinite(t).all():
         i = int(np.flatnonzero(~np.isfinite(t))[0])
         raise ValueError(f"grid point t[{i}] = {float(t[i])!r} is not finite")
-    a = v.as_array()
-    a1 = abs(v[0]) if len(v) else 0.0
-    # a Python float division: inf past the float range, with no warning
-    near = np.abs(t) < (math.sqrt(8.0) / a1 if a1 else math.inf)
-    margins = _cos_product_margins(a[None, :], t[None, near])[0]
-    if not (len(margins) and np.min(margins) < 1.0):
-        margins = np.full(t.shape, math.inf)
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(a1 * t)
-            margins[finite] = _cos_product_margins(a[None, :], t[None, finite])[0]
+    (margins,) = _cos_product_scores(v.as_array()[None, :], t[None, :])
     violations = int(np.sum(margins < -COS_PRODUCT_SLACK))
     worst = float(np.min(margins)) if len(margins) else math.inf
     return VerificationReport("cos_product", len(t), violations, worst, 0, 0, seed)
@@ -549,39 +579,11 @@ def _draw_chain(cfg: SearchConfig, rng: np.random.Generator, length: int) -> _Ch
     return _Chain(start, None, normals, points)
 
 
-def _cos_product_minima(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Each row's least cosine-product margin over its points: rows a of
-    rearranged coefficients, points t (rows, m).  Only the (row, point) pairs
-    with |a_1 t| < sqrt 8 are evaluated; the others have margin at least 2
-    (see check_cos_product), so when every row has an evaluated margin below
-    1 its minimum is the full evaluation's, bit for bit.  Otherwise every
-    point is evaluated.  Batches hold at most _WORKING_SET elements of
-    points x coefficients."""
-    n = a.shape[1]
-    with np.errstate(divide="ignore", over="ignore"):
-        cut = math.sqrt(8.0) / a[:, 0]  # inf for a zero row or past the float range
-    rows, cols = np.nonzero(np.abs(t) < cut[:, None])
-    step = max(1, _WORKING_SET // n)
-    near = [
-        _cos_product_margins(a[rows[i : i + step]], t[rows[i : i + step], cols[i : i + step], None])[:, 0]
-        for i in range(0, len(rows), step)
-    ]
-    counts = np.bincount(rows, minlength=len(a))
-    if counts.all():
-        least = np.minimum.reduceat(np.concatenate(near), np.cumsum(counts) - counts)
-        if (least < 1.0).all():
-            return least
-    step = max(1, _WORKING_SET // (t.shape[1] * n))
-    return np.concatenate(
-        [np.min(_cos_product_margins(a[i : i + step], t[i : i + step]), axis=1) for i in range(0, len(a), step)]
-    )
-
-
 def _search_margins(check: str, v: np.ndarray, p: np.ndarray | None, t: np.ndarray | None) -> np.ndarray:
     """Worst margin of each instance of one group of rows with the same n,
     exact engines only: rows v of rearranged coefficients (a and b for
     rec2), each at its own order p[i] (None for cos_product), at the points
-    t (cos_product; see _cos_product_minima).
+    t (cos_product; see _cos_product_scores).
 
     A row gets the bits it gets alone.  The order-free pieces (the
     canonical form, the residues and the whole-vector l2 norms) are computed
@@ -590,7 +592,7 @@ def _search_margins(check: str, v: np.ndarray, p: np.ndarray | None, t: np.ndarr
     exponential ladder with no seed, which ends in charFunction or the
     recursion and does not reach Monte Carlo."""
     if check == "cos_product":
-        return _cos_product_minima(v, t)
+        return _cos_product_scores(v, t).min(axis=1)
     ps = p.tolist()
     if check == "rec2":
         out = []
@@ -669,10 +671,8 @@ def _climb(check: str, chains: list[_Chain], slack: float) -> tuple[list[float],
             margins = _search_margins(check, inst, orders, t)
         except OverflowError:
             for q in sorted(set(orders.tolist())):
-                try:
+                with _overflow_named(f"the {check} search", q):
                     _search_margins(check, inst[orders == q], orders[orders == q], t)
-                except OverflowError as exc:
-                    raise OverflowError(f"the {check} search at p={q!r}: {exc}") from None
             raise
         violations += int(np.count_nonzero(margins < -slack))
         better = margins < best
@@ -693,11 +693,11 @@ def search_counterexamples(config: SearchConfig) -> VerificationReport:
     are drawn first, in stream order, and the chains of the window then
     advance side by side, batched by n and chain length: one scoring call
     per step takes every chain that shares n, each at its own order, and
-    the cosine-product scoring skips the points it certifies.  The report
-    is the one the one-iteration-at-a-time loop gives, bit for bit: the
-    first witness of the worst margin, and the count of margins below the
-    slack.  OverflowError names the check and the order p past the float
-    range.
+    the cosine-product scoring certifies points as check_cos_product does
+    (see _cos_product_scores).  The report is the one the
+    one-iteration-at-a-time loop gives, bit for bit: the first witness of
+    the worst margin, and the count of margins below the slack.
+    OverflowError names the check and the order p past the float range.
     """
     rng = dists.substream(config.seed, 0)
     slack = COS_PRODUCT_SLACK if config.check == "cos_product" else NUMERICAL_SLACK * 10
@@ -757,12 +757,12 @@ def suite(
     """Run the named checks (default: all) over the default grids; one merged
     report per check, byte-reproducible from the seed.  A check left with
     no order of p_grid in its range is refused (JobValidationError on
-    p_grid) before any check runs.
+    p_grid) before any check runs.  OverflowError names the check and the
+    order p past the float range.
 
     cos_product counts every point of its 12 grids as a case, but evaluates
-    only those with |a_1 t| < sqrt 8; check_cos_product certifies the others
-    (margin >= 2) as the grid's t = 0 has margin 0, and its fallback
-    evaluates every point when no evaluated margin lies below 1."""
+    only those with |a_1 t| < sqrt 8: each grid's t = 0 has margin 0, so
+    check_cos_product certifies the others (margin >= 2)."""
     wanted = tuple(checks) if checks is not None else SUITE_CHECKS
     ps = tuple(p_grid) if p_grid is not None else DEFAULT_P_GRID
     for c in wanted:
@@ -784,18 +784,21 @@ def suite(
         elif check == "comp2":
             for v in _suite_vectors(rng, (1, 3, 6, 8)):
                 for p in _check_orders(check, ps):
-                    subs.append(check_comparison_chain(v, p, case_seed, samples))
+                    with _overflow_named(f"the {check} check", p):
+                        subs.append(check_comparison_chain(v, p, case_seed, samples))
                     case_seed += 7
         elif check == "p24":
             for v in _suite_vectors(rng, (1, 3, 6, 8)):
                 for p in _check_orders(check, ps):
-                    subs.append(check_p24_comparison(coeffs.rearrange(v), p, case_seed, samples))
+                    with _overflow_named(f"the {check} check", p):
+                        subs.append(check_p24_comparison(coeffs.rearrange(v), p, case_seed, samples))
                     case_seed += 7
         elif check == "extremality":
             for alpha in (1.0, 1.5, 2.0, 3.0):
                 for v in _suite_vectors(rng, (2, 6)):
                     for p in _check_orders(check, ps)[:3]:
-                        subs.append(check_extremality(v, alpha, p, case_seed, samples))
+                        with _overflow_named(f"the {check} check", p):
+                            subs.append(check_extremality(v, alpha, p, case_seed, samples))
                         case_seed += 7
         elif check == "sandwich":
             kinds = (dists.rademacher(), dists.sym_exponential(), dists.weibull_tail(2.0))
@@ -806,13 +809,15 @@ def suite(
                 for v in vectors:
                     grid = [x for x in ps if x >= lowest_bound_order(d)][:4]
                     for p in grid:
-                        subs.append(check_bounds_sandwich(v, d, p, case_seed, samples))
+                        with _overflow_named(f"the {check} check", p):
+                            subs.append(check_bounds_sandwich(v, d, p, case_seed, samples))
                         case_seed += 7
         elif check == "gk_ratio":
             for d in (dists.sym_exponential(), dists.weibull_tail(2.0)):
                 for v in _suite_vectors(rng, (3, 6)):
                     for p in _check_orders(check, ps)[:3]:
-                        subs.append(check_gk_ratio(v, d, p, case_seed, samples, gk_band))
+                        with _overflow_named(f"the {check} check", p):
+                            subs.append(check_gk_ratio(v, d, p, case_seed, samples, gk_band))
                         case_seed += 7
         reports.append(merge_reports(subs, check, seed))
     return reports

@@ -304,6 +304,24 @@ class TestEngineFailureExitCodes:
         assert err.startswith("error: result out of float range")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # log-gamma of the order overflows
+            (["verify", "--seed", "1", "--checks", "comp2"], "result out of float range: the comp2 check at p=1e+308: "),
+            (["bounds", "--coeffs", "1,2", "--dist", "rademacher"], "result out of float range: the bounds command at p=1e+308: "),
+            (["sweep", "--seed", "1"], "result out of float range: the sweep command at p=1e+308: "),
+            # |S|^p of the samples overflows with no numpy warning; the record refuses it
+            (["verify", "--seed", "1", "--checks", "sandwich"], "monteCarlo's moment of the unit-scale sum, inf, "),
+        ],
+        ids=["verify", "bounds", "sweep", "monteCarlo"],
+    )
+    def test_order_past_the_float_range_is_named(self, argv, message, capsys):
+        status, out, err = invoke(argv + ["--p", "1e308"], capsys)
+        assert status == cli.EXIT_CAPACITY
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert out == ""
+
     @pytest.mark.filterwarnings("error")
     def test_overflow_warning_stays_off_stderr(self, capsys):
         # E|S|^p = 2^1e6 / 2 is past the float range, its root 2^(1 - 1e-6) is not

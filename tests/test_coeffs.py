@@ -26,7 +26,6 @@ def test_rearrange_examples():
 def test_norm_examples():
     assert norm(CoefficientVector([3, 4]), 2) == pytest.approx(5.0, rel=1e-15)
     assert norm(CoefficientVector([1, -1, 1]), math.inf) == 1.0
-    assert norm(CoefficientVector([1, 1, 1]), 1) == 3.0
 
 
 @pytest.mark.parametrize("scale", [1e-200, 3e-160, 1e200])
@@ -36,8 +35,10 @@ def test_l2_norm_is_scale_safe(scale):
 
 
 def test_norm_rejects_q_below_one():
-    with pytest.raises(ValueError):
-        norm(CoefficientVector([1.0]), 0.5)
+    # and every other order but 2 and inf, the ones the bounds use
+    for q in (0.5, 1.0, 3.0, 4.0, math.nan):
+        with pytest.raises(ValueError, match="q must be 2 or inf"):
+            norm(CoefficientVector([1.0]), q)
 
 
 def test_head_tail_split_examples():
@@ -94,14 +95,14 @@ def test_rearrange_is_permutation_of_abs(v):
     assert sorted(rearrange(v).values) == sorted(abs(x) for x in v.values)
 
 
-@given(vectors, st.sampled_from([1.0, 2.0, 4.0, math.inf]))
+@given(vectors, st.sampled_from([2.0, math.inf]))
 def test_rearrange_preserves_norms(v, q):
     assert norm(rearrange(v), q) == pytest.approx(norm(v, q), rel=1e-12, abs=1e-12)
 
 
 @given(vectors)
 def test_norm_nonincreasing_in_q(v):
-    qs = [1.0, 2.0, 4.0, math.inf]
+    qs = [2.0, math.inf]
     vals = [norm(v, q) for q in qs]
     for lo, hi in zip(vals[1:], vals[:-1]):
         assert lo <= hi * (1 + 1e-12) + 1e-12

@@ -111,20 +111,26 @@ class TestCosProduct:
                 assert got == want and math.copysign(1.0, got.worst_margin) == math.copysign(1.0, want.worst_margin)
 
     def test_only_points_below_the_cut_are_evaluated(self, monkeypatch):
-        seen = []
+        seen, sizes = [], []
         margins = verify._cos_product_margins
-        monkeypatch.setattr(verify, "_cos_product_margins", lambda a, t: seen.append(t.size) or margins(a, t))
+
+        def counted(a, t):
+            seen.append(t.size)
+            sizes.append(a.size)  # one row of coefficients per point
+            return margins(a, t)
+
+        monkeypatch.setattr(verify, "_cos_product_margins", counted)
         check_cos_product(CV([2, 1, 0.5]), default_t_grid(dists.substream(5, 0)))
         assert seen == [1416]
         seen.clear()
         (rep,) = suite(42, checks=["cos_product"])
-        assert rep.cases == 1_320_012 and len(seen) == 12
-        assert sum(seen) < 60_000
+        assert rep.cases == 1_320_012 and sum(seen) == 53_729
+        assert max(sizes) <= verify._WORKING_SET
         # the one margin below the cut, cos 2.5 + 2.5^2/2 - 1 = 1.32, is not
-        # below 1: both points are evaluated
+        # below 1: the other point is evaluated after it
         seen.clear()
         assert check_cos_product(CV([1.0]), [2.5, 10.0]).worst_margin == math.cos(2.5) + 3.125 - 1.0
-        assert seen == [1, 2]
+        assert seen == [1, 1]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_point_is_refused(self, bad):
@@ -343,12 +349,54 @@ class TestSearch:
         a, t = np.array(a), np.broadcast_to(t, (2, 40))
         margins = verify._cos_product_margins
         full = np.min(margins(a, t), axis=1)
-        shapes = []
-        monkeypatch.setattr(verify, "_cos_product_margins", lambda a, t: shapes.append(t.shape) or margins(a, t))
+        seen = []
+
+        def counted(rows, points):
+            seen.extend(zip(rows[:, 0].tolist(), points[:, 0].tolist()))
+            return margins(rows, points)
+
+        monkeypatch.setattr(verify, "_cos_product_margins", counted)
         got = verify._search_margins("cos_product", a, None, t)
         assert got.tobytes() == full.tobytes()
         assert got[0] >= 1.0 > got[1]
-        assert shapes[-1] == (2, 40)
+        # every point of the first row, once; of the second, those below its cut
+        cut = math.sqrt(8.0) / a[1, 0]
+        want = [(a[0, 0], x) for x in t[0].tolist()] + [(a[1, 0], x) for x in t[1].tolist() if x < cut]
+        assert sorted(seen) == sorted(want)
+
+    @pytest.mark.parametrize("working_set", [verify._WORKING_SET, 50])
+    def test_cos_product_scores_match_full_evaluation(self, working_set, monkeypatch):
+        # batches mix rows that certify points, rows with no point below the
+        # cut, rows whose evaluated margins are all >= 1, zero rows, a_1 from
+        # 1e-310 to 1e200 and negative t; a small working set splits rows
+        # across batches
+        monkeypatch.setattr(verify, "_WORKING_SET", working_set)
+        rng = np.random.default_rng(22)
+        m = 48
+        for n in range(1, 7):
+            rows, points = [], []
+            for scale in (1e-310, 0.0, 1e-4, 1.0, 30.0, 1e3, 1e200):
+                a = coeffs.rearrange(CV(rng.uniform(-1.0, 1.0, n) * scale)).as_array()
+                for t in (
+                    np.concatenate([[0.0], rng.uniform(-50.0, 50.0, m - 1)]),
+                    np.geomspace(0.01, 20.0, m),
+                    -np.linspace(2.5, 20.0, m),
+                ):
+                    rows.append(a)
+                    points.append(t)
+            # the one point below the cut has margin about 1.32
+            rows.append([1.0] + [1e-3] * (n - 1))
+            points.append(np.linspace(2.5, 20.0, m))
+            a, t = np.array(rows), np.array(points)
+            got = verify._cos_product_scores(a, t)
+            with np.errstate(over="ignore"):
+                full = np.array([cos_margins(x, y) for x, y in zip(a, t)])
+            assert got.min(axis=1).tobytes() == full.min(axis=1).tobytes()
+            for slack in (verify.COS_PRODUCT_SLACK, 0.0, -0.5):
+                assert ((got < -slack).sum(axis=1) == (full < -slack).sum(axis=1)).all()
+            certified = np.isinf(got) & np.isfinite(full)
+            assert certified.any() and (full[certified] >= 1.0).all()
+            assert (np.isinf(got) | (got == full)).all()
 
     def test_p_grid_must_meet_the_check(self):
         for check, grid in (("comp2", (1.5,)), ("p24", (5.0, 6.0)), ("rec2", (2.5,))):
