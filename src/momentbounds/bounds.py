@@ -1,6 +1,6 @@
 """Closed-form two-sided moment bounds and the Orlicz dual-norm functional.
 
-Bound sources (``BoundInterval.source``):
+Bound sources (``BoundInterval.source``, the keys of ``BOUND_SOURCES``):
 
 * ``khintchine`` — ||sum a_i eps_i||_p in [||a||_2, gamma_p ||a||_2], p >= 2
                    (upper: optimal-constant Khintchine; lower: norm monotonicity);
@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,10 +51,29 @@ __all__ = [
     "logconcave_bounds",
     "gaussian_approx_gap",
     "gk_dual_norm",
+    "BoundSource",
     "BOUND_SOURCES",
 ]
 
-BOUND_SOURCES = ("khintchine", "comp2", "estrad", "estexp", "logconc", "gaussGap")
+
+class BoundSource(NamedTuple):
+    """One bound source: the name of the function of this module that
+    evaluates it (looked up at call time), the engine law whose sums it
+    bounds (None: every law) and the lowest order p at which it holds."""
+
+    function: str
+    law: str | None
+    p_min: float
+
+
+BOUND_SOURCES = {
+    "khintchine": BoundSource("khintchine_bounds", dists.RADEMACHER, 2.0),
+    "comp2": BoundSource("comp2_bounds", dists.RADEMACHER, 2.0),
+    "estrad": BoundSource("rademacher_bounds", dists.RADEMACHER, 2.0),
+    "estexp": BoundSource("exponential_bounds", dists.SYM_EXPONENTIAL, 2.0),
+    "logconc": BoundSource("logconcave_bounds", None, 3.0),
+    "gaussGap": BoundSource("gaussian_approx_gap", None, 3.0),
+}
 
 
 @dataclass(frozen=True)
@@ -76,6 +95,13 @@ class BoundInterval:
             raise ValueError(f"need 0 <= lower <= upper, got [{self.lower}, {self.upper}]")
 
 
+def _check_order(source: str, p: float) -> None:
+    """Refuse an order below the source's lowest (BOUND_SOURCES)."""
+    lowest = BOUND_SOURCES[source].p_min
+    if p < lowest:
+        raise ValueError(f"p must be >= {lowest:g}, got {p!r}")
+
+
 def _tail_l2(v: CoefficientVector, p: float) -> tuple[CoefficientVector, CoefficientVector, float]:
     rearranged = coeffs.rearrange(v)
     head, tail = coeffs.head_tail_split(rearranged, p)
@@ -84,16 +110,14 @@ def _tail_l2(v: CoefficientVector, p: float) -> tuple[CoefficientVector, Coeffic
 
 def khintchine_bounds(v: CoefficientVector, p: float) -> BoundInterval:
     """[||a||_2, gamma_p ||a||_2] for Rademacher sums, p >= 2."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p!r}")
+    _check_order("khintchine", p)
     l2 = coeffs.norm(v, 2)
     return BoundInterval(l2, max(gamma_p(p) * l2, l2), "khintchine", p)
 
 
 def comp2_bounds(v: CoefficientVector, p: float) -> BoundInterval:
     """Outer members of the comparison chain: [gamma_p tail-l2, gamma_p ||a||_2]."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p!r}")
+    _check_order("comp2", p)
     _, _, tl2 = _tail_l2(v, p)
     g = gamma_p(p)
     upper = g * coeffs.norm(v, 2)
@@ -106,8 +130,7 @@ def rademacher_bounds(v: CoefficientVector, p: float) -> BoundInterval:
     With the rearranged split at ceil(p/2): the tail contributes at Gaussian
     l2 scale, the head at first-moment scale (lower constant 1/sqrt2).
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p!r}")
+    _check_order("estrad", p)
     head, _, tl2 = _tail_l2(v, p)
     head_sum = sum(head.values)
     g = gamma_p(p)
@@ -117,8 +140,7 @@ def rademacher_bounds(v: CoefficientVector, p: float) -> BoundInterval:
 
 def exponential_bounds(v: CoefficientVector, p: float) -> BoundInterval:
     """Two-sided bound for ||sum a_i E_i||_p, p >= 2."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p!r}")
+    _check_order("estexp", p)
     l2 = coeffs.norm(v, 2)
     linf = coeffs.norm(v, math.inf)
     g = gamma_p(p)
@@ -137,8 +159,7 @@ def logconcave_bounds(
     the l2 tail (i >= ceil(p/2)) overlap by design.  The law ``d`` enters
     only through ``head_norm``, and both endpoints are nondecreasing in it.
     """
-    if p < 3:
-        raise ValueError(f"p must be >= 3, got {p!r}")
+    _check_order("logconc", p)
     _, tail = coeffs.head_tail_split(v, p)  # refuses an unrearranged v
     g_tail = gamma_p(p) * coeffs.norm(tail, 2)
     return BoundInterval(max(g_tail, head_norm), g_tail + head_norm, "logconc", p)
@@ -148,8 +169,7 @@ def gaussian_approx_gap(v: CoefficientVector, p: float) -> BoundInterval:
     """Gaussian approximation window: gamma_p ||a||_2 +- p ||a||_inf, p >= 3,
     clamped below at 0 (norms are nonnegative; the signed form is checked
     separately by the verification module)."""
-    if p < 3:
-        raise ValueError(f"p must be >= 3, got {p!r}")
+    _check_order("gaussGap", p)
     center = gamma_p(p) * coeffs.norm(v, 2)
     width = p * coeffs.norm(v, math.inf)
     return BoundInterval(max(center - width, 0.0), center + width, "gaussGap", p)

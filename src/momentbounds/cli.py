@@ -10,7 +10,8 @@ overrides; flags win.  Commands:
                 endpoints (plot-ready CSV);
 * ``search``  — counterexample search per check.
 
-Output is newline-delimited JSON or RFC-4180 CSV with a fixed header; every
+Output is newline-delimited JSON or RFC-4180 CSV whose header is the
+records' own fields, in the order each command builds them; every
 record carries {command, digest, seed, version} and numbers are rendered as
 shortest round-trip decimals, so identical invocations are byte-identical.
 
@@ -43,32 +44,6 @@ EXIT_VIOLATION = 3
 
 _COMMANDS = ("moment", "bounds", "verify", "sweep", "search")
 _FORMATS = ("json", "csv")
-
-_CSV_COLUMNS = {
-    "moment": [
-        "command", "digest", "seed", "version", "coefficients", "distribution",
-        "alpha", "p", "method", "raw_moment", "value", "rigor", "epsilon",
-        "halfwidth", "confidence",
-    ],
-    "bounds": [
-        "command", "digest", "seed", "version", "coefficients", "distribution",
-        "alpha", "p", "source", "lower", "upper",
-    ],
-    "verify": [
-        "command", "digest", "seed", "version", "check", "cases", "violations",
-        "worst_margin", "ci_resolved", "inconclusive",
-    ],
-    "sweep": [
-        "command", "digest", "seed", "version", "family", "n", "distribution",
-        "alpha", "p", "method", "value",
-        *(f"{src}_{end}" for src in bounds.BOUND_SOURCES for end in ("lower", "upper")),
-    ],
-    "search": [
-        "command", "digest", "seed", "version", "check", "iterations", "cases",
-        "violations", "min_margin", "witness", "witness_p",
-    ],
-}
-
 
 @dataclass
 class JobSpec:
@@ -265,13 +240,14 @@ def _run_moment(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     records = []
     for i, p in enumerate(job.p):
         for prefer in ladders:
-            try:
-                est = verify.reference_estimate(v, d, float(p), samples=job.samples, seed=job.seed, prefer=prefer)
-            except ValueError as exc:
-                if prefer is None or isinstance(exc, JobValidationError):
-                    raise  # e.g. a missing seed, which names its own field
-                # a pinned engine's domain error (haagerup outside 2 < p < 4)
-                raise JobValidationError(f"p[{i}]", str(exc)) from exc
+            with verify._failure_named("the moment command", float(p)):
+                try:
+                    est = verify.reference_estimate(v, d, float(p), samples=job.samples, seed=job.seed, prefer=prefer)
+                except ValueError as exc:
+                    if prefer is None or isinstance(exc, JobValidationError):
+                        raise  # e.g. a missing seed, which names its own field
+                    # a pinned engine's domain error (haagerup outside 2 < p < 4)
+                    raise JobValidationError(f"p[{i}]", str(exc)) from exc
             r = est.rigor
             records.append(
                 {
@@ -297,7 +273,7 @@ def _run_bounds(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     d = _distribution(job)
     records = []
     for p in _orders_from(verify.lowest_bound_order(d), job.p, f"bounds of {d.kind} sums"):
-        with verify._overflow_named("the bounds command", p):
+        with verify._failure_named("the bounds command", p):
             found = verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed)
         for bi, _, _ in found:
             records.append(
@@ -394,7 +370,7 @@ def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 else verify.sample_coefficient_vector(rng, n, family)
             )
             for p in ps:
-                with verify._overflow_named("the sweep command", p):
+                with verify._failure_named("the sweep command", p):
                     est = verify.reference_estimate(v, d, p, samples=job.samples, seed=job.seed + case)
                     found = verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed)
                 row = {
@@ -437,15 +413,21 @@ def _render_cell(x) -> str:
 
 
 def emit(records: list[dict], fmt: str, command: str, stream) -> None:
+    """Write the records of one command as JSON lines or as CSV whose header
+    is the first record's fields, in order, not a table kept by command
+    (every record of a command has the same fields); no records write
+    nothing."""
     if fmt == "json":
         for rec in records:
             stream.write(json.dumps(rec, allow_nan=False) + "\n")
         return
-    columns = _CSV_COLUMNS[command]
+    if not records:
+        return
+    columns = list(records[0])
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for rec in records:
-        writer.writerow([_render_cell(rec.get(col)) for col in columns])
+        writer.writerow([_render_cell(rec[col]) for col in columns])
 
 
 # --- entry point ---------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -66,25 +65,24 @@ class CoefficientVector:
 def half_ceil(p: float) -> int:
     """ceil(p/2) computed exactly.
 
-    Half-integer p must not drift through floating division, so the ceiling
-    is taken on the exact rational value of the float.
+    Halving a normal float changes only its exponent, so p / 2 is exact and
+    half-integer p cannot drift across an integer.
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p!r}")
-    return int(math.ceil(Fraction(p) / 2))
+    return math.ceil(p / 2)
 
 
 def head_count_below(p: float, n: int) -> int:
     """Number of 1-based indices i with i < p, clamped to [0, n].
 
-    Used for the strict head ``i < p`` of the log-concave bound; exact for
-    integer and half-integer p.
+    Used for the strict head ``i < p`` of the log-concave bound: the
+    integers i < p are 1, ..., ceil(p) - 1 for integer and non-integer p
+    alike.
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p!r}")
-    frac = Fraction(p)
-    count = int(math.ceil(frac)) - 1 if frac == int(frac) else int(math.floor(frac))
-    return max(0, min(count, n))
+    return max(0, min(math.ceil(p) - 1, n))
 
 
 def rearrange(v: CoefficientVector) -> CoefficientVector:

@@ -27,7 +27,7 @@ from numpy.typing import ArrayLike
 from . import bounds, coeffs, dists, summoments
 from .coeffs import CoefficientVector
 from .dists import DistributionSpec, gamma_p
-from .errors import JobValidationError
+from .errors import JobValidationError, MomentBoundsError
 from .summoments import MomentEstimate
 
 __all__ = [
@@ -236,13 +236,23 @@ def default_t_grid(rng: np.random.Generator | None = None) -> np.ndarray:
 
 
 @contextmanager
-def _overflow_named(what: str, p: float):
-    """Re-raise an OverflowError as one that names what overflowed and the
-    order p it ran at."""
+def _failure_named(what: str, p: float):
+    """Re-raise an OverflowError, or a MomentBoundsError other than
+    JobValidationError (an engine's refusal), as one of the same class that
+    names what failed and the order p it ran at."""
     try:
         yield
-    except OverflowError as exc:
-        raise OverflowError(f"{what} at p={p!r}: {exc}") from None
+    except JobValidationError:
+        raise
+    except (OverflowError, MomentBoundsError) as exc:
+        raise type(exc)(f"{what} at p={p!r}: {exc}") from None
+
+
+def _require_order(check: str, p: float) -> None:
+    """Refuse an order outside the check's CHECK_P_RANGES range."""
+    lo, hi = CHECK_P_RANGES[check]
+    if not lo <= p <= hi:
+        raise ValueError(f"the {check} check needs p in [{lo:g}, {hi:g}], got {p!r}")
 
 
 # --- deterministic checks ---------------------------------------------------------
@@ -331,8 +341,7 @@ def check_comparison_chain(
 
     on the norm scale, strongest engine per term.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p!r}")
+    _require_order("comp2", p)
     rearranged = coeffs.rearrange(v)
     _, tail = coeffs.head_tail_split(rearranged, p)
     e1 = _Norm.exact(gamma_p(p) * coeffs.norm(rearranged, 2))
@@ -353,8 +362,7 @@ def check_p24_comparison(
 ) -> VerificationReport:
     """E|sum_{i=1}^n a_i eps_i|^p >= E|sum_{i=2}^n a_i E_i|^p for 2 <= p <= 4
     (drop exactly the largest coefficient on the right)."""
-    if not 2 <= p <= 4:
-        raise ValueError(f"p must lie in [2, 4], got {p!r}")
+    _require_order("p24", p)
     if not v.is_rearranged():
         raise ValueError("check_p24_comparison requires a rearranged vector")
     lhs = _Norm.from_estimate(reference_estimate(v, dists.rademacher(), p, samples=samples, seed=seed))
@@ -376,8 +384,7 @@ def check_extremality(
     integer, except at alpha = 2 (the characteristic-function engine) and at
     alpha = 1, where X is the two-sided exponential and the upper link an
     exact equality."""
-    if p < 3:
-        raise ValueError(f"p must be >= 3, got {p!r}")
+    _require_order("extremality", p)
     w = dists.weibull_tail(alpha)
     left = _Norm.from_estimate(reference_estimate(v, dists.rademacher(), p, samples=samples, seed=seed))
     mid = _Norm.from_estimate(reference_estimate(v, w, p, samples=samples, seed=seed + 1))
@@ -388,13 +395,6 @@ def check_extremality(
     tally.compare(mid, left)
     tally.compare(right, mid)
     return tally.report("extremality", seed)
-
-
-# the orders at which applicable_bounds' sources hold: each law's own
-# (Rademacher: khintchine, comp2, estrad; two-sided exponential: estexp) from
-# p = 2, the log-concave ones (logconc, gaussGap) for every law from p = 3
-_LAW_BOUNDS_FROM = {dists.RADEMACHER: 2.0, dists.SYM_EXPONENTIAL: 2.0}
-_LOGCONCAVE_BOUNDS_FROM = 3.0
 
 
 def applicable_bounds(
@@ -408,37 +408,37 @@ def applicable_bounds(
     """Every closed-form interval for ||sum a_i X_i||_p that applies at
     (d, p), each with its lower and upper endpoint on the norm scale.
 
-    Sources, in order, each from its order above: khintchine, comp2,
-    estrad (Rademacher), estexp (two-sided exponential), logconc and
-    gaussGap (every law).
+    The sources are those of bounds.BOUND_SOURCES, in its order, whose law
+    is the engine law of d or every law and whose lowest order is at most
+    p; each evaluator is looked up in bounds at call time.
     The logconc head norm comes from reference_estimate at seed + 1; both
     logconc endpoints grow with it, so when it is not exact they span the
     images of its certainty interval.  All other endpoints are exact.
     """
     law = summoments.engine_law(d)
     out = []
-    if p >= _LAW_BOUNDS_FROM.get(law, math.inf):
-        if law == dists.RADEMACHER:
-            out += [bounds.khintchine_bounds(v, p), bounds.comp2_bounds(v, p), bounds.rademacher_bounds(v, p)]
-        else:
-            out.append(bounds.exponential_bounds(v, p))
-    out = [(bi, _Norm.exact(bi.lower), _Norm.exact(bi.upper)) for bi in out]
-    if p >= _LOGCONCAVE_BOUNDS_FROM:
+    for name, source in bounds.BOUND_SOURCES.items():
+        if source.law not in (law, None) or p < source.p_min:
+            continue
+        evaluate = getattr(bounds, source.function)
+        if name != "logconc":
+            bi = evaluate(v, p)
+            out.append((bi, _Norm.exact(bi.lower), _Norm.exact(bi.upper)))
+            continue
         rearranged = coeffs.rearrange(v)
         head_seed = None if seed is None else seed + 1
         head = reference_estimate(coeffs.strict_head(rearranged, p), d, p, samples=samples, seed=head_seed)
         hn = _Norm.from_estimate(head)
-        bi, lo, hi = (bounds.logconcave_bounds(rearranged, d, p, x) for x in (hn.value, hn.lo, hn.hi))
+        bi, lo, hi = (evaluate(rearranged, d, p, x) for x in (hn.value, hn.lo, hn.hi))
         lower = _Norm(bi.lower, lo.lower, hi.lower, hn.statistical)
         out.append((bi, lower, _Norm(bi.upper, lo.upper, hi.upper, hn.statistical)))
-        gap = bounds.gaussian_approx_gap(v, p)
-        out.append((gap, _Norm.exact(gap.lower), _Norm.exact(gap.upper)))
     return out
 
 
 def lowest_bound_order(d: DistributionSpec) -> float:
-    """The lowest p at which applicable_bounds has an interval for d."""
-    return min(_LAW_BOUNDS_FROM.get(summoments.engine_law(d), math.inf), _LOGCONCAVE_BOUNDS_FROM)
+    """The lowest p at which applicable_bounds has an interval for d: the
+    least lowest order of the bounds.BOUND_SOURCES for its engine law."""
+    return min(s.p_min for s in bounds.BOUND_SOURCES.values() if s.law in (summoments.engine_law(d), None))
 
 
 def check_bounds_sandwich(
@@ -467,8 +467,7 @@ def check_gk_ratio(
     """Empirical two-sidedness of the Orlicz dual-norm functional:
     ||sum_{i<p} a_i X_i||_p / gk stays inside a configurable band (the
     underlying equivalence holds up to unspecified universal constants)."""
-    if p < 3:
-        raise ValueError(f"p must be >= 3, got {p!r}")
+    _require_order("gk_ratio", p)
     head = coeffs.strict_head(coeffs.rearrange(v), p)
     tally = _Tally()
     if len(head) == 0 or coeffs.norm(head, 2) == 0.0:
@@ -671,7 +670,7 @@ def _climb(check: str, chains: list[_Chain], slack: float) -> tuple[list[float],
             margins = _search_margins(check, inst, orders, t)
         except OverflowError:
             for q in sorted(set(orders.tolist())):
-                with _overflow_named(f"the {check} search", q):
+                with _failure_named(f"the {check} search", q):
                     _search_margins(check, inst[orders == q], orders[orders == q], t)
             raise
         violations += int(np.count_nonzero(margins < -slack))
@@ -757,8 +756,8 @@ def suite(
     """Run the named checks (default: all) over the default grids; one merged
     report per check, byte-reproducible from the seed.  A check left with
     no order of p_grid in its range is refused (JobValidationError on
-    p_grid) before any check runs.  OverflowError names the check and the
-    order p past the float range.
+    p_grid) before any check runs.  An OverflowError, or an engine refusal
+    with no fallback left, names the check and the order p it ran at.
 
     cos_product counts every point of its 12 grids as a case, but evaluates
     only those with |a_1 t| < sqrt 8: each grid's t = 0 has margin 0, so
@@ -784,20 +783,20 @@ def suite(
         elif check == "comp2":
             for v in _suite_vectors(rng, (1, 3, 6, 8)):
                 for p in _check_orders(check, ps):
-                    with _overflow_named(f"the {check} check", p):
+                    with _failure_named(f"the {check} check", p):
                         subs.append(check_comparison_chain(v, p, case_seed, samples))
                     case_seed += 7
         elif check == "p24":
             for v in _suite_vectors(rng, (1, 3, 6, 8)):
                 for p in _check_orders(check, ps):
-                    with _overflow_named(f"the {check} check", p):
+                    with _failure_named(f"the {check} check", p):
                         subs.append(check_p24_comparison(coeffs.rearrange(v), p, case_seed, samples))
                     case_seed += 7
         elif check == "extremality":
             for alpha in (1.0, 1.5, 2.0, 3.0):
                 for v in _suite_vectors(rng, (2, 6)):
                     for p in _check_orders(check, ps)[:3]:
-                        with _overflow_named(f"the {check} check", p):
+                        with _failure_named(f"the {check} check", p):
                             subs.append(check_extremality(v, alpha, p, case_seed, samples))
                         case_seed += 7
         elif check == "sandwich":
@@ -809,14 +808,14 @@ def suite(
                 for v in vectors:
                     grid = [x for x in ps if x >= lowest_bound_order(d)][:4]
                     for p in grid:
-                        with _overflow_named(f"the {check} check", p):
+                        with _failure_named(f"the {check} check", p):
                             subs.append(check_bounds_sandwich(v, d, p, case_seed, samples))
                         case_seed += 7
         elif check == "gk_ratio":
             for d in (dists.sym_exponential(), dists.weibull_tail(2.0)):
                 for v in _suite_vectors(rng, (3, 6)):
                     for p in _check_orders(check, ps)[:3]:
-                        with _overflow_named(f"the {check} check", p):
+                        with _failure_named(f"the {check} check", p):
                             subs.append(check_gk_ratio(v, d, p, case_seed, samples, gk_band))
                         case_seed += 7
         reports.append(merge_reports(subs, check, seed))

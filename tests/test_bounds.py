@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from momentbounds import dists
+from momentbounds import bounds, dists
 from momentbounds.bounds import (
+    BOUND_SOURCES,
     BoundInterval,
     OrliczFunction,
     _gk_order,
@@ -125,6 +126,19 @@ class TestGaussianGap:
         b = gaussian_approx_gap(CV([1 / SQRT2, 1 / SQRT2]), 4)
         assert b.lower == 0.0
         assert b.upper == pytest.approx(3**0.25 + 2 * SQRT2, rel=1e-12)
+
+
+@pytest.mark.parametrize("source", list(BOUND_SOURCES))
+def test_evaluator_refuses_below_its_table_order(source):
+    entry = BOUND_SOURCES[source]
+    v = CV([2.0, 1.0, 0.5])
+    if source == "logconc":
+        evaluate = lambda p: logconcave_bounds(v, dists.sym_exponential(), p, 1.0)
+    else:
+        evaluate = lambda p: getattr(bounds, entry.function)(v, p)
+    with pytest.raises(ValueError, match=f"p must be >= {entry.p_min:g}, got "):
+        evaluate(float(np.nextafter(entry.p_min, 0.0)))
+    assert evaluate(entry.p_min).source == source
 
 
 @given(finite_vec, p_values)

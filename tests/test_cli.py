@@ -312,9 +312,21 @@ class TestEngineFailureExitCodes:
             (["bounds", "--coeffs", "1,2", "--dist", "rademacher"], "result out of float range: the bounds command at p=1e+308: "),
             (["sweep", "--seed", "1"], "result out of float range: the sweep command at p=1e+308: "),
             # |S|^p of the samples overflows with no numpy warning; the record refuses it
-            (["verify", "--seed", "1", "--checks", "sandwich"], "monteCarlo's moment of the unit-scale sum, inf, "),
+            (
+                ["verify", "--seed", "1", "--checks", "sandwich"],
+                "the sandwich check at p=1e+308: monteCarlo's moment of the unit-scale sum, inf, ",
+            ),
+            # |S|^p of the samples underflows to 0; the record refuses it
+            (
+                ["verify", "--seed", "1", "--checks", "extremality"],
+                "the extremality check at p=1e+308: monteCarlo's moment of the unit-scale sum, 0.0, ",
+            ),
+            (
+                ["moment", "--coeffs", "1,2", "--dist", "gaussian"],
+                "result out of float range: the moment command at p=1e+308: ",
+            ),
         ],
-        ids=["verify", "bounds", "sweep", "monteCarlo"],
+        ids=["verify", "bounds", "sweep", "monteCarlo", "extremality", "moment"],
     )
     def test_order_past_the_float_range_is_named(self, argv, message, capsys):
         status, out, err = invoke(argv + ["--p", "1e308"], capsys)
@@ -803,6 +815,45 @@ class TestOutputFormats:
         for row in rows:
             lo, hi = float(row["estexp_lower"]), float(row["estexp_upper"])
             assert lo <= float(row["value"]) <= hi
+
+    ENVELOPE = ["command", "digest", "seed", "version"]
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (
+                ["moment", "--coeffs", "1,0.5", "--dist", "rademacher", "--p", "3"],
+                ["coefficients", "distribution", "alpha", "p", "method", "raw_moment", "value", "rigor",
+                 "epsilon", "halfwidth", "confidence"],
+            ),
+            (
+                ["bounds", "--coeffs", "1,0.5", "--dist", "rademacher", "--p", "3"],
+                ["coefficients", "distribution", "alpha", "p", "source", "lower", "upper"],
+            ),
+            (
+                ["verify", "--seed", "1", "--checks", "p24", "--p", "3", "--samples", "10000"],
+                ["check", "cases", "violations", "worst_margin", "ci_resolved", "inconclusive"],
+            ),
+            (
+                ["sweep", "--seed", "1", "--coeffs", "1,0.5", "--dist", "gaussian", "--p", "3"],
+                ["family", "n", "distribution", "alpha", "p", "method", "value",
+                 "khintchine_lower", "khintchine_upper", "comp2_lower", "comp2_upper",
+                 "estrad_lower", "estrad_upper", "estexp_lower", "estexp_upper",
+                 "logconc_lower", "logconc_upper", "gaussGap_lower", "gaussGap_upper"],
+            ),
+            (
+                ["search", "--seed", "1", "--checks", "rec2", "--iterations", "10"],
+                ["check", "iterations", "cases", "violations", "min_margin", "witness", "witness_p"],
+            ),
+        ],
+        ids=["moment", "bounds", "verify", "sweep", "search"],
+    )
+    def test_csv_header_is_each_commands_record_fields(self, argv, fields, capsys):
+        status, out, _ = invoke(argv + ["--format", "csv"], capsys)
+        assert status == cli.EXIT_OK
+        assert out.splitlines()[0] == ",".join(self.ENVELOPE + fields)
+        _, out, _ = invoke(argv, capsys)
+        assert all(list(r) == self.ENVELOPE + fields for r in records_of(out))
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "records.jsonl"

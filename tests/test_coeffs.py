@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,24 @@ def test_head_count_below():
     assert head_count_below(3.5, 10) == 3
     assert head_count_below(1.0, 10) == 0
     assert head_count_below(8.0, 3) == 3  # clamped to n
+
+
+def test_half_ceil_and_head_count_match_exact_rationals():
+    # the reference takes each ceiling on the exact rational value of the float
+    def half_ceil_ref(p):
+        return math.ceil(Fraction(p) / 2)
+
+    def head_count_ref(p):
+        frac = Fraction(p)
+        return math.ceil(frac) - 1 if frac == int(frac) else math.floor(frac)
+
+    rng = np.random.default_rng(23)
+    halves = np.arange(2, 2000) / 2.0  # the integers and half-integers from 1 to 999.5
+    near = [np.nextafter(x, d) for x in (2.0, 3.0, 4.0, 3.5) for d in (0.0, math.inf)]
+    points = [*rng.uniform(1.0, 100.0, 20_000), *halves, *near, 2.0**53 + 1, 2.0**53 + 2, 1e308]
+    for p in map(float, points):
+        assert half_ceil(p) == half_ceil_ref(p), p
+        assert head_count_below(p, 10**400) == head_count_ref(p), p
 
 
 def test_rejects_non_finite_entries():

@@ -30,6 +30,15 @@ def test_every_engine_function_is_exported():
         assert callable(getattr(summoments, engine.function)), name
 
 
+def test_every_bound_source_function_is_exported():
+    # applicable_bounds looks each evaluator up in bounds, where perfbench's tracer wraps exported names only
+    from momentbounds import bounds
+
+    for name, source in bounds.BOUND_SOURCES.items():
+        assert source.function in bounds.__all__, name
+        assert callable(getattr(bounds, source.function)), name
+
+
 def test_cli_jobs_leave_scipy_integrate_and_optimize_unloaded():
     # every CLI job is a fresh process that pays for each module it imports
     code = (

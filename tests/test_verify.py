@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from momentbounds import coeffs, dists, summoments, verify
+from momentbounds import bounds, coeffs, dists, summoments, verify
 from momentbounds.coeffs import CoefficientVector
 from momentbounds.dists import gamma_p
 from momentbounds.errors import JobValidationError, QuadratureError
 from momentbounds.verify import (
+    CHECK_P_RANGES,
     SearchConfig,
     _Norm,
     _Tally,
+    applicable_bounds,
     check_bounds_sandwich,
     check_comparison_chain,
     check_cos_product,
@@ -20,6 +22,7 @@ from momentbounds.verify import (
     check_gk_ratio,
     check_p24_comparison,
     default_t_grid,
+    lowest_bound_order,
     merge_reports,
     reference_estimate,
     sample_coefficient_vector,
@@ -229,6 +232,86 @@ class TestSandwich:
         v = CV([0.1] * 100)
         r = check_bounds_sandwich(v, dists.weibull_tail(2.0), 3.0, seed=2, samples=50_000)
         assert r.violations == 0
+
+
+def law_id(x):
+    if isinstance(x, dists.DistributionSpec):
+        return x.kind + (f"{x.alpha:g}" if x.alpha else "")
+    return None
+
+
+RADEMACHER_SOURCES = ["khintchine", "comp2", "estrad"]
+LOGCONCAVE_SOURCES = ["logconc", "gaussGap"]
+
+
+class TestApplicableBounds:
+    @pytest.mark.parametrize(
+        "d, p, sources",
+        [
+            (dists.rademacher(), 2.0, RADEMACHER_SOURCES),
+            (dists.rademacher(), 2.5, RADEMACHER_SOURCES),
+            (dists.rademacher(), 3.0, RADEMACHER_SOURCES + LOGCONCAVE_SOURCES),
+            (dists.sym_exponential(), 2.0, ["estexp"]),
+            (dists.sym_exponential(), 3.0, ["estexp"] + LOGCONCAVE_SOURCES),
+            (dists.gaussian(), 2.0, []),
+            (dists.gaussian(), 3.0, LOGCONCAVE_SOURCES),
+            (dists.weibull_tail(2.0), 2.0, []),
+            (dists.weibull_tail(2.0), 3.0, LOGCONCAVE_SOURCES),
+            (dists.weibull_tail(1.0), 2.0, ["estexp"]),
+            (dists.weibull_tail(1.0), 3.0, ["estexp"] + LOGCONCAVE_SOURCES),
+        ],
+        ids=law_id,
+    )
+    def test_sources_by_law_and_order(self, d, p, sources):
+        found = applicable_bounds(CV([2.0, 1.0, 0.5]), d, p, samples=10_000, seed=3)
+        assert [bi.source for bi, _, _ in found] == sources
+
+    @pytest.mark.parametrize(
+        "d, lowest",
+        [
+            (dists.rademacher(), 2.0),
+            (dists.sym_exponential(), 2.0),
+            (dists.gaussian(), 3.0),
+            (dists.weibull_tail(2.0), 3.0),
+            (dists.weibull_tail(1.0), 2.0),
+        ],
+        ids=law_id,
+    )
+    def test_lowest_bound_order(self, d, lowest):
+        assert lowest_bound_order(d) == lowest
+
+    def test_evaluators_are_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper installed on the bounds module (perfbench's tracer) sees every call
+        calls = []
+        for entry in bounds.BOUND_SOURCES.values():
+            original = getattr(bounds, entry.function)
+            monkeypatch.setattr(
+                bounds, entry.function, lambda *a, _f=original, _n=entry.function: calls.append(_n) or _f(*a)
+            )
+        applicable_bounds(CV([2.0, 1.0]), dists.rademacher(), 3.0)
+        assert calls == [
+            "khintchine_bounds", "comp2_bounds", "rademacher_bounds",
+            "logconcave_bounds", "logconcave_bounds", "logconcave_bounds", "gaussian_approx_gap",
+        ]
+
+
+CHECK_FUNCTIONS = {
+    "comp2": lambda p: check_comparison_chain(CV([1.0, 0.5]), p, seed=0, samples=10_000),
+    "p24": lambda p: check_p24_comparison(CV([1.0, 0.5]), p, seed=0, samples=10_000),
+    "extremality": lambda p: check_extremality(CV([1.0, 0.5]), 1.5, p, seed=0, samples=10_000),
+    "gk_ratio": lambda p: check_gk_ratio(CV([1.0, 0.5]), dists.sym_exponential(), p, seed=0, samples=10_000),
+}
+
+
+@pytest.mark.parametrize("check", list(CHECK_FUNCTIONS))
+def test_check_refuses_orders_outside_its_range(check):
+    lo, hi = CHECK_P_RANGES[check]
+    outside = [float(np.nextafter(lo, 0.0))] + ([float(np.nextafter(hi, math.inf))] if math.isfinite(hi) else [])
+    for p in outside:
+        with pytest.raises(ValueError, match=f"the {check} check needs p in "):
+            CHECK_FUNCTIONS[check](p)
+    for p in (lo, hi) if math.isfinite(hi) else (lo,):
+        assert CHECK_FUNCTIONS[check](p).violations == 0
 
 
 class TestGkRatio:
