@@ -147,7 +147,9 @@ def _validate(job: JobSpec):
     if job.seed is not None and (not _is_number(job.seed, int) or job.seed < 0):
         _fail("seed", f"must be a nonnegative integer, got {job.seed!r}")
     if job.checks is not None:
-        _validate_names("checks", job.checks, sorted(set(verify.SUITE_CHECKS) | set(verify.SEARCH_CHECKS)))
+        # verify and search take only the checks they run
+        own = {"verify": verify.SUITE_CHECKS, "search": verify.SEARCH_CHECKS}.get(job.command)
+        _validate_names("checks", job.checks, own or sorted({*verify.SUITE_CHECKS, *verify.SEARCH_CHECKS}))
     if not _is_number(job.iterations, int) or job.iterations < 1:
         _fail("iterations", "must be an integer >= 1")
     if not _is_number(job.nmax, int) or job.nmax < 1:
@@ -186,15 +188,11 @@ def _validate(job: JobSpec):
     if stochastic and job.seed is None:
         _fail("seed", "required for stochastic commands (no wall-clock default)")
     if job.command == "search":
-        for c in _search_checks(job):
+        for c in job.checks or verify.SEARCH_CHECKS:
             try:
                 verify.SearchConfig(c, n_max=job.nmax, p_grid=_search_p_grid(job))
             except JobValidationError as exc:
                 _fail({"n_max": "nmax", "p_grid": "p"}[exc.field], exc.message)
-
-
-def _search_checks(job: JobSpec) -> list[str]:
-    return [c for c in job.checks or verify.SEARCH_CHECKS if c in verify.SEARCH_CHECKS]
 
 
 def _search_p_grid(job: JobSpec) -> tuple[float, ...]:
@@ -292,14 +290,9 @@ def _run_bounds(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
 
 
 def _run_verify(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
-    checks = None
-    if job.checks is not None:
-        checks = [c for c in job.checks if c in verify.SUITE_CHECKS]
-        if not checks:
-            _fail("checks", f"no suite checks among {job.checks!r}")
     band = tuple(job.gk_band) if job.gk_band else verify.GK_BAND
     try:
-        reports = verify.suite(job.seed, samples=job.samples, checks=checks, p_grid=job.p, gk_band=band)
+        reports = verify.suite(job.seed, samples=job.samples, checks=job.checks, p_grid=job.p, gk_band=band)
     except JobValidationError as exc:
         if exc.field != "p_grid":
             raise
@@ -323,13 +316,10 @@ def _run_verify(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
 
 
 def _run_search(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
-    checks = _search_checks(job)
-    if not checks:
-        _fail("checks", f"no searchable checks among {job.checks!r}")
     p_grid = _search_p_grid(job)
     records = []
     violations = 0
-    for i, check in enumerate(checks):
+    for i, check in enumerate(job.checks or verify.SEARCH_CHECKS):
         cfg = verify.SearchConfig(
             check, n_max=job.nmax, p_grid=p_grid, iterations=job.iterations, seed=job.seed + i
         )
@@ -354,46 +344,43 @@ _SWEEP_SIZES = (4, 8)
 
 
 def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
+    """One row per (family, n) case and order: the reference norm next to
+    every applicable bound interval.  Case k (from 1) draws its vector from
+    substream k - 1 and takes its reference at seed + k; given coefficients
+    are the one case, with the first family and size as its labels."""
     d = _distribution(job) if job.distribution else dists.sym_exponential()
     # a sweep row needs p >= 2, and p >= 3 for Weibull-law sums
     lowest = 3.0 if summoments.engine_law(d) == dists.WEIBULL_TAIL else 2.0
     ps = _orders_from(lowest, job.p or [2.0, 3.0, 4.0, 6.0], f"sweep rows of {d.kind} sums")
+    cases = [(family, n) for family in verify.COEFFICIENT_REGIMES for n in _SWEEP_SIZES]
     records = []
-    case = 0
-    for family in verify.COEFFICIENT_REGIMES:
-        for n in _SWEEP_SIZES:
-            rng = dists.substream(job.seed, case)
-            case += 1
-            v = (
-                CoefficientVector(job.coefficients)
-                if job.coefficients
-                else verify.sample_coefficient_vector(rng, n, family)
-            )
-            for p in ps:
-                with verify._failure_named("the sweep command", p):
-                    est = verify.reference_estimate(v, d, p, samples=job.samples, seed=job.seed + case)
-                    found = verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed)
-                row = {
-                    **envelope,
-                    "family": family,
-                    "n": len(v),
-                    "distribution": d.kind,
-                    "alpha": job.alpha,
-                    "p": p,
-                    "method": est.method,
-                    "value": est.value,
-                }
-                for src in bounds.BOUND_SOURCES:
-                    row[f"{src}_lower"] = None
-                    row[f"{src}_upper"] = None
-                for bi, _, _ in found:
-                    row[f"{bi.source}_lower"] = bi.lower
-                    row[f"{bi.source}_upper"] = bi.upper
-                records.append(row)
-            if job.coefficients:
-                break
-        if job.coefficients:
-            break
+    for case, (family, n) in enumerate(cases[:1] if job.coefficients else cases, 1):
+        v = (
+            CoefficientVector(job.coefficients)
+            if job.coefficients
+            else verify.sample_coefficient_vector(dists.substream(job.seed, case - 1), n, family)
+        )
+        for p in ps:
+            with verify._failure_named("the sweep command", p):
+                est = verify.reference_estimate(v, d, p, samples=job.samples, seed=job.seed + case)
+                found = verify.applicable_bounds(v, d, p, samples=job.samples, seed=job.seed)
+            row = {
+                **envelope,
+                "family": family,
+                "n": len(v),
+                "distribution": d.kind,
+                "alpha": job.alpha,
+                "p": p,
+                "method": est.method,
+                "value": est.value,
+            }
+            for src in bounds.BOUND_SOURCES:
+                row[f"{src}_lower"] = None
+                row[f"{src}_upper"] = None
+            for bi, _, _ in found:
+                row[f"{bi.source}_lower"] = bi.lower
+                row[f"{bi.source}_upper"] = bi.upper
+            records.append(row)
     return EXIT_OK, records
 
 

@@ -11,9 +11,10 @@ class MomentBoundsError(Exception):
 
 
 class EngineCapacityError(MomentBoundsError):
-    """Input exceeds a hard capacity limit (e.g. the enumeration cap).
+    """Input exceeds a hard capacity limit (e.g. the enumeration cap), or a
+    unit-scale moment leaves the normal float range.
 
-    Callers should fall back to the Monte Carlo engine.
+    An engine ladder moves on to its next engine.
     """
 
 

@@ -207,16 +207,19 @@ class MomentEstimate:
         EngineCapacityError for an m that is not a positive normal float,
         OverflowError for a norm past the float range."""
         p, m = float(p), float(m)
-        if e is not None and not _TINY <= m < math.inf:
-            raise EngineCapacityError(f"{method}'s moment of the unit-scale sum, {m!r}, is not a positive normal float")
-        return cls(p, _scale_moment(m, e, p), _scaled_norm(m, e, p), method, rigor)
+        norm = _scaled_norm(m, e, p, method)  # refuses m before the raw moment is formed
+        return cls(p, _scale_moment(m, e, p), norm, method, rigor)
 
 
 _TINY = 2.0**-1022  # the smallest normal float
 
 
-def _scaled_norm(m: float, e: int | None, p: float) -> float:
-    """2^e m^{1/p}: the norm of a sum whose unit-scale sum has moment m."""
+def _scaled_norm(m: float, e: int | None, p: float, method: str, refusal: type = EngineCapacityError) -> float:
+    """2^e m^{1/p}: the norm of a sum whose unit-scale sum has moment m.
+    Refuses (refusal, naming the method) an m of a nonzero sum that is not a
+    positive normal float."""
+    if e is not None and not _TINY <= m < math.inf:
+        raise refusal(f"{method}'s moment of the unit-scale sum, {m!r}, is not a positive normal float")
     return m if p == 0 or e is None else math.ldexp(m ** (1.0 / p), e)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -589,7 +589,8 @@ def _search_margins(check: str, v: np.ndarray, p: np.ndarray | None, t: np.ndarr
     once per call, the comp2 tail split once per distinct ceil(p/2).  An
     empty tail has norm 0.  Tail rows that partial fractions refuse take the
     exponential ladder with no seed, which ends in charFunction or the
-    recursion and does not reach Monte Carlo."""
+    recursion and does not reach Monte Carlo.  A unit-scale moment that the
+    engines would refuse as out of the float range raises OverflowError."""
     if check == "cos_product":
         return _cos_product_scores(v, t).min(axis=1)
     ps = p.tolist()
@@ -601,9 +602,11 @@ def _search_margins(check: str, v: np.ndarray, p: np.ndarray | None, t: np.ndarr
             out.append((lhs - rhs) / max(1.0, abs(rhs)))
         return np.array(out)
     n = v.shape[1]
+    # gamma_p first: an order whose log-gamma overflows fails on it, not on its moments
+    g = {q: gamma_p(q) for q in set(ps)} if check == "comp2" else {}
     y, e = summoments._canonical(v)
     totals = (summoments._enumeration_totals(y, p) / (1 << (n - 1))).tolist()
-    rad = np.array([summoments._scaled_norm(m, x, q) for m, x, q in zip(totals, e, ps)])
+    rad = np.array([summoments._scaled_norm(m, x, q, "enumeration", OverflowError) for m, x, q in zip(totals, e, ps)])
     # the tail: from coefficient ceil(p/2) (comp2) or 2 (p24) on
     cuts = {q: min(coeffs.half_ceil(q) - 1, n) if check == "comp2" else 1 for q in set(ps)}
     first = np.array([cuts[q] for q in ps])
@@ -615,7 +618,6 @@ def _search_margins(check: str, v: np.ndarray, p: np.ndarray | None, t: np.ndarr
         tail[rows] = coeffs._l2_rows(rest)
     if check == "p24":
         return rad - lap
-    g = {q: gamma_p(q) for q in set(ps)}
     gs = np.array([g[q] for q in ps])
     # min(upper, middle, lower) with Python's min: the first of equal links
     links = (gs * np.array(coeffs._l2_rows(v)) - rad, rad - lap, lap - gs * tail)
@@ -635,7 +637,7 @@ def _laplace_norms(rest: np.ndarray, p: np.ndarray) -> list[float]:
     ladder: dict[tuple, float] = {}
     for m, x, q, row, refusal in zip(moments.tolist(), e, p.tolist(), rest.tolist(), refusals):
         if refusal is None:
-            out.append(summoments._scaled_norm(m, x, q))
+            out.append(summoments._scaled_norm(m, x, q, "partialFractions", OverflowError))
             continue
         key = (q, *row)
         if key not in ladder:
@@ -736,13 +738,48 @@ def search_counterexamples(config: SearchConfig) -> VerificationReport:
 # --- suite ------------------------------------------------------------------------
 
 
-SUITE_CHECKS = ("cos_product", "comp2", "p24", "extremality", "sandwich", "gk_ratio")
-def _suite_vectors(rng: np.random.Generator, sizes: Sequence[int]) -> list[CoefficientVector]:
-    out = []
-    for n in sizes:
-        for regime in COEFFICIENT_REGIMES:
-            out.append(sample_coefficient_vector(rng, n, regime))
-    return out
+class _SuiteCheck(NamedTuple):
+    """How the suite runs one check: for each law, in draw order, one vector
+    per size and regime, then the law's fixed vectors, each at the orders
+    `orders` picks of the check's grid ([None] for cos_product).  `run` takes
+    the case by keyword and calls the check by its name in this module at
+    call time, so a wrapper installed there sees the call."""
+
+    sizes: tuple[int, ...]
+    run: Callable[..., VerificationReport]
+    laws: tuple[tuple[Any, tuple[tuple[float, ...], ...]], ...] = ((None, ()),)  # no law
+    orders: Callable[[Any, list], list] = lambda law, ps: ps
+
+
+_SUITE = {
+    "cos_product": _SuiteCheck(
+        (1, 2, 4, 8), lambda v, seed, rng, **_: check_cos_product(coeffs.rearrange(v), default_t_grid(rng), seed)
+    ),
+    "comp2": _SuiteCheck((1, 3, 6, 8), lambda v, p, seed, samples, **_: check_comparison_chain(v, p, seed, samples)),
+    "p24": _SuiteCheck(
+        (1, 3, 6, 8), lambda v, p, seed, samples, **_: check_p24_comparison(coeffs.rearrange(v), p, seed, samples)
+    ),
+    "extremality": _SuiteCheck(
+        (2, 6),
+        lambda v, law, p, seed, samples, **_: check_extremality(v, law, p, seed, samples),
+        tuple((alpha, ()) for alpha in (1.0, 1.5, 2.0, 3.0)),
+        lambda alpha, ps: ps[:3],
+    ),
+    "sandwich": _SuiteCheck(
+        (2, 5, 8),
+        lambda v, law, p, seed, samples, **_: check_bounds_sandwich(v, law, p, seed, samples),
+        # Weibull also takes many equal terms, near the Gaussian limit
+        ((dists.rademacher(), ()), (dists.sym_exponential(), ()), (dists.weibull_tail(2.0), ((1.0 / 8.0,) * 64,))),
+        lambda d, ps: [x for x in ps if x >= lowest_bound_order(d)][:4],
+    ),
+    "gk_ratio": _SuiteCheck(
+        (3, 6),
+        lambda v, law, p, seed, samples, band, **_: check_gk_ratio(v, law, p, seed, samples, band),
+        ((dists.sym_exponential(), ()), (dists.weibull_tail(2.0), ())),
+        lambda d, ps: ps[:3],
+    ),
+}
+SUITE_CHECKS = tuple(_SUITE)
 
 
 def suite(
@@ -754,10 +791,13 @@ def suite(
     gk_band: tuple[float, float] = GK_BAND,
 ) -> list[VerificationReport]:
     """Run the named checks (default: all) over the default grids; one merged
-    report per check, byte-reproducible from the seed.  A check left with
-    no order of p_grid in its range is refused (JobValidationError on
-    p_grid) before any check runs.  An OverflowError, or an engine refusal
-    with no fallback left, names the check and the order p it ran at.
+    report per check, in SUITE_CHECKS order, byte-reproducible from the seed.
+    A check left with no order of p_grid in its range is refused
+    (JobValidationError on p_grid) before any check runs.  An OverflowError,
+    or an engine refusal with no fallback left, names the check and the
+    order p it ran at.  One loop runs every check from its _SUITE entry;
+    check i draws from substream i its first case seed, then its vectors
+    law by law, and each case seed is the last one plus 7.
 
     cos_product counts every point of its 12 grids as a case, but evaluates
     only those with |a_1 t| < sqrt 8: each grid's t = 0 has margin 0, so
@@ -770,53 +810,20 @@ def suite(
         if c in CHECK_P_RANGES:
             _check_orders(c, ps)
     reports = []
-    for check in SUITE_CHECKS:
+    for idx, (check, entry) in enumerate(_SUITE.items()):
         if check not in wanted:
             continue
-        idx = SUITE_CHECKS.index(check)
         rng = dists.substream(seed, idx)
         case_seed = int(rng.integers(0, 2**31))
+        grid = _check_orders(check, ps) if check in CHECK_P_RANGES else [None]
         subs: list[VerificationReport] = []
-        if check == "cos_product":
-            for v in _suite_vectors(rng, (1, 2, 4, 8)):
-                subs.append(check_cos_product(coeffs.rearrange(v), default_t_grid(rng), seed))
-        elif check == "comp2":
-            for v in _suite_vectors(rng, (1, 3, 6, 8)):
-                for p in _check_orders(check, ps):
+        for law, fixed in entry.laws:
+            vectors = [sample_coefficient_vector(rng, n, r) for n in entry.sizes for r in COEFFICIENT_REGIMES]
+            for v in vectors + [CoefficientVector(f) for f in fixed]:
+                for p in entry.orders(law, grid):
                     with _failure_named(f"the {check} check", p):
-                        subs.append(check_comparison_chain(v, p, case_seed, samples))
+                        case = {"v": v, "law": law, "p": p, "seed": case_seed, "rng": rng}
+                        subs.append(entry.run(**case, samples=samples, band=gk_band))
                     case_seed += 7
-        elif check == "p24":
-            for v in _suite_vectors(rng, (1, 3, 6, 8)):
-                for p in _check_orders(check, ps):
-                    with _failure_named(f"the {check} check", p):
-                        subs.append(check_p24_comparison(coeffs.rearrange(v), p, case_seed, samples))
-                    case_seed += 7
-        elif check == "extremality":
-            for alpha in (1.0, 1.5, 2.0, 3.0):
-                for v in _suite_vectors(rng, (2, 6)):
-                    for p in _check_orders(check, ps)[:3]:
-                        with _failure_named(f"the {check} check", p):
-                            subs.append(check_extremality(v, alpha, p, case_seed, samples))
-                        case_seed += 7
-        elif check == "sandwich":
-            kinds = (dists.rademacher(), dists.sym_exponential(), dists.weibull_tail(2.0))
-            for d in kinds:
-                vectors = _suite_vectors(rng, (2, 5, 8))
-                if d.kind == dists.WEIBULL_TAIL:
-                    vectors.append(CoefficientVector([1.0 / 8.0] * 64))  # many equal terms, near the Gaussian limit
-                for v in vectors:
-                    grid = [x for x in ps if x >= lowest_bound_order(d)][:4]
-                    for p in grid:
-                        with _failure_named(f"the {check} check", p):
-                            subs.append(check_bounds_sandwich(v, d, p, case_seed, samples))
-                        case_seed += 7
-        elif check == "gk_ratio":
-            for d in (dists.sym_exponential(), dists.weibull_tail(2.0)):
-                for v in _suite_vectors(rng, (3, 6)):
-                    for p in _check_orders(check, ps)[:3]:
-                        with _failure_named(f"the {check} check", p):
-                            subs.append(check_gk_ratio(v, d, p, case_seed, samples, gk_band))
-                        case_seed += 7
         reports.append(merge_reports(subs, check, seed))
     return reports

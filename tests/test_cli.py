@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from momentbounds import cli, dists, summoments, verify
+from momentbounds.coeffs import CoefficientVector
 from momentbounds.errors import JobValidationError, QuadratureError
 from momentbounds.summoments import MomentEstimate, Rigor
 
@@ -706,6 +707,16 @@ class TestVerifyCommand:
         assert "checks" in err
 
     @pytest.mark.parametrize(
+        "argv", [["verify", "--checks", "p24,rec2"], ["search", "--checks", "rec2,sandwich"]], ids=["verify", "search"]
+    )
+    def test_checks_of_another_command_are_rejected(self, argv, capsys):
+        # each command takes only the checks it runs, not the union
+        status, out, err = invoke([*argv, "--seed", "1"], capsys)
+        assert status == cli.EXIT_USAGE
+        assert err.startswith("error: checks[1]: must be one of")
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["--p", "5", "--checks", "p24"], "p24 needs p in [2, 4], got [5.0]"),
@@ -757,8 +768,11 @@ class TestSearchCommand:
             (["rec2", "--p", "1e6", "--iterations", "10"], "the rec2 search at p=1000000.0: "),
             # chains at p = 3 score in the same calls and do not overflow
             (["rec2", "--p", "3,1e6", "--iterations", "100"], "the rec2 search at p=1000000.0: "),
+            # the enumeration moment of the unit-scale sum leaves the float range
+            (["comp2", "--nmax", "12", "--iterations", "2000", "--p", "500"], "the comp2 search at p=500.0: "),
+            (["comp2", "--nmax", "12", "--iterations", "2000", "--p", "3,700"], "the comp2 search at p=700.0: "),
         ],
-        ids=["comp2", "rec2", "rec2-mixed-orders"],
+        ids=["comp2", "rec2", "rec2-mixed-orders", "comp2-moment", "comp2-moment-mixed-orders"],
     )
     def test_order_past_the_float_range_names_check_and_order(self, argv, message, capsys):
         status, out, err = invoke(["search", "--seed", "1", "--checks", *argv], capsys)
@@ -802,6 +816,23 @@ class TestOutputFormats:
         _, a, _ = invoke(argv, capsys)
         _, b, _ = invoke(argv, capsys)
         assert a == b
+
+    def test_sweep_coeffs_is_one_case(self, capsys):
+        # given coefficients are case 1: one row per order, labelled with the
+        # first family and the vector's length, the reference at seed + 1
+        # (Monte Carlo for this Weibull law at these orders)
+        status, out, _ = invoke(
+            ["sweep", "--seed", "2", "--coeffs", "1,0.5,0.25", "--dist", "weibullTail", "--alpha", "1.5",
+             "--p", "3,3.5", "--samples", "20000"],
+            capsys,
+        )
+        assert status == cli.EXIT_OK
+        rows = records_of(out)
+        assert [(r["family"], r["n"], r["p"]) for r in rows] == [("uniform", 3, 3.0), ("uniform", 3, 3.5)]
+        v, d = CoefficientVector([1.0, 0.5, 0.25]), dists.weibull_tail(1.5)
+        refs = [verify.reference_estimate(v, d, p, samples=20_000, seed=3) for p in (3.0, 3.5)]
+        assert [r["method"] for r in rows] == [e.method for e in refs] == ["monteCarlo"] * 2
+        assert [r["value"] for r in rows] == [e.value for e in refs]
 
     def test_sweep_csv_has_bound_columns(self, capsys):
         status, out, _ = invoke(

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -405,6 +406,16 @@ class TestSearch:
             want = verify.VerificationReport("cos_product", len(grid), violations, float(np.min(m)), 0, 0, 3)
             assert check_cos_product(v, grid, seed=3) == want
 
+    @pytest.mark.parametrize("p_grid, p", [((500.0,), 500.0), ((3.0, 700.0), 700.0)])
+    def test_moment_out_of_float_range_raises(self, p_grid, p):
+        # at n <= 12 and p = 500 the comp2 tail is empty, so the inequality
+        # holds with margin 0; an overflowed enumeration moment must not
+        # score as a violation with margin -inf
+        cfg = SearchConfig("comp2", n_max=12, p_grid=p_grid, iterations=2000, seed=1)
+        message = f"the comp2 search at p={p!r}: enumeration's moment of the unit-scale sum, inf, "
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            search_counterexamples(cfg)
+
     def test_cos_product_search_skips_certified_points(self, monkeypatch):
         # 64 fixed and 32 random points an iteration; those with
         # |a_1 t| >= sqrt 8 have margin >= 2 and are not evaluated
@@ -560,6 +571,38 @@ class TestSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             suite(1, checks=("bogus",))
+
+    @pytest.mark.parametrize(
+        "p_grid, cases",
+        [
+            (None, [1_320_012, 288, 60, 144, 520, 72]),
+            ((2.0, 2.5, 3.0, 4.0, 5.5, 7.0), [1_320_012, 216, 48, 144, 520, 72]),
+        ],
+    )
+    def test_case_counts_per_check(self, p_grid, cases):
+        # cos_product: 12 grids of 110,001 points; comp2 and p24: 12 vectors
+        # at every order in range, 3 and 1 links; extremality: 4 shapes x 6
+        # vectors x 3 orders, 2 links; sandwich: 9 vectors per law (10 for
+        # Weibull) x 4 orders, 2 links per interval; gk_ratio: 2 laws x 6
+        # vectors x 3 orders, 2 links
+        reports = suite(42, samples=10_000, p_grid=p_grid)
+        assert [r.check for r in reports] == list(verify.SUITE_CHECKS)
+        assert [r.cases for r in reports] == cases
+
+    def test_checks_are_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper installed on the verify module (perfbench's tracer) sees every case
+        calls = {}
+        functions = ["check_cos_product", "check_comparison_chain", "check_p24_comparison",
+                     "check_extremality", "check_bounds_sandwich", "check_gk_ratio"]
+        for check, name in zip(verify.SUITE_CHECKS, functions):
+            def stub(*args, _check=check, _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return verify.VerificationReport(_check, 1, 0, 0.0, 0, 0, 0)
+
+            monkeypatch.setattr(verify, name, stub)
+        reports = suite(42)
+        assert calls == dict(zip(functions, [12, 96, 60, 72, 112, 36]))
+        assert [r.cases for r in reports] == [12, 96, 60, 72, 112, 36]
 
     def test_extremality_seed_50_has_no_false_violation(self):
         # at alpha = 1 the middle term is the exact exponential norm, not a
