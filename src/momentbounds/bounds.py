@@ -25,6 +25,8 @@ toward the largest maximizer), plus an exact budget top-up pass for the
 discontinuous-budget case.  Each candidate regime pins every coordinate to
 one piece of M; per cost the tail piece goes to a prefix of that cost's
 coordinates sorted by |a|, so n_c coordinates of cost c give n_c + 1 choices.
+A regime whose weak-duality bound lies below the best value found is not
+solved.
 """
 
 from __future__ import annotations
@@ -233,27 +235,49 @@ class OrliczFunction:
                 cand = max(cand, inv)
         return cand
 
-    def slope_inverse(self, s: float, bmax: float) -> float:
-        """b in [1, bmax] with N'(b) = s, clipped to the interval."""
-        d = self.dist
+
+class _TailPiece:
+    """One coordinate's tail piece: b in [1, cap] at cost N(b), with the
+    slopes and the costs at both ends computed once."""
+
+    __slots__ = ("m", "cap", "slope1", "slope_cap", "cost1", "cost_cap")
+
+    def __init__(self, m: OrliczFunction, cap: float):
+        self.m, self.cap = m, cap
+        self.slope1, self.slope_cap = m.tail_exponent_slope(1.0), m.tail_exponent_slope(cap)
+        self.cost1, self.cost_cap = m.tail_exponent(1.0), m.tail_exponent(cap)
+
+    def argmax(self, s: float) -> tuple[float, float]:
+        """(b, N(b)) for the b in [1, cap] with N'(b) = s, clipped to the
+        piece: the largest maximizer of s b - N(b) on it."""
+        d = self.m.dist
         if d.kind == dists.SYM_EXPONENTIAL or (d.kind == dists.WEIBULL_TAIL and d.alpha == 1.0):
             # constant slope: the clip decides (largest maximizer on ties)
-            return bmax if s >= self.tail_exponent_slope(1.0) else 1.0
-        if s <= self.tail_exponent_slope(1.0):
-            return 1.0
-        if s >= self.tail_exponent_slope(bmax):
-            return bmax
-        if d.kind == dists.WEIBULL_TAIL:
-            return min(max(d.scale * (s * d.scale / d.alpha) ** (1.0 / (d.alpha - 1.0)), 1.0), bmax)
-        # Gaussian; imported here, so that importing the package leaves
-        # scipy.optimize unloaded
-        from scipy.optimize import brentq
+            b = self.cap if s >= self.slope1 else 1.0
+        elif s <= self.slope1:
+            b = 1.0
+        elif s >= self.slope_cap:
+            b = self.cap
+        elif d.kind == dists.WEIBULL_TAIL:
+            b = min(max(d.scale * (s * d.scale / d.alpha) ** (1.0 / (d.alpha - 1.0)), 1.0), self.cap)
+        else:
+            # Gaussian; imported here, so that importing the package leaves
+            # scipy.optimize unloaded
+            from scipy.optimize import brentq
 
-        return float(brentq(lambda x: self.tail_exponent_slope(x) - s, 1.0, bmax))
+            b = float(brentq(lambda x: self.m.tail_exponent_slope(x) - s, 1.0, self.cap))
+        if b == 1.0:
+            return b, self.cost1
+        if b == self.cap:
+            return b, self.cost_cap
+        return b, self.m.tail_exponent(b)
 
 
 # the most regimes gk_dual_norm tries: 2^16, i.e. 16 laws of one coordinate each
 _GK_REGIME_CAP = 1 << 16
+# how far past p the entry fees of a regime's tail set may go before the
+# regime counts as infeasible; a regime in that band keeps the excess
+_GK_BUDGET_SLACK = 1e-12
 
 
 def _gk_order(a: np.ndarray, M: Sequence[OrliczFunction]) -> list[int]:
@@ -297,40 +321,53 @@ def _gk_solve_regime(
     (constant N') make the budget jump at the critical multiplier; the
     remainder is then spent in closed form on the best coordinate, which is
     exact because tied linear segments all trade budget at the same rate.
+    None when the regime is infeasible.
     """
+    solved = _gk_solve(a, [_TailPiece(m, cap) for m, cap in zip(M, caps)], p, tail_set)
+    return None if solved is None else solved[0]
+
+
+def _gk_allocate(
+    af: Sequence[float], tail: Sequence[_TailPiece | None], lam: float
+) -> tuple[list[float], list[float], float]:
+    """Each coordinate's maximizer of a_i b - lam M_i(b) on its piece (the
+    quadratic one where tail[i] is None), its cost, and the total cost."""
+    bs, ms = [], []
+    for ai, piece in zip(af, tail):
+        if piece is not None:
+            b, mval = piece.argmax(ai / lam)
+        else:
+            b = min(max(ai / (2.0 * lam), 0.0), 1.0)
+            mval = b * b
+        bs.append(b)
+        ms.append(mval)
+    return bs, ms, float(sum(ms))
+
+
+def _gk_solve(
+    a: np.ndarray, pieces: Sequence[_TailPiece], p: float, tail_set: frozenset[int]
+) -> tuple[float, float] | None:
+    """_gk_solve_regime's optimum and the multiplier of its final allocation."""
     n = len(a)
-    in_tail = [i in tail_set for i in range(n)]
-
-    def allocate(lam: float) -> tuple[list[float], list[float], float]:
-        bs, ms = [], []
-        for i in range(n):
-            if in_tail[i]:
-                b = M[i].slope_inverse(float(a[i]) / lam, caps[i])
-                mval = M[i].tail_exponent(b)
-            else:
-                b = min(max(float(a[i]) / (2.0 * lam), 0.0), 1.0)
-                mval = b * b
-            bs.append(b)
-            ms.append(mval)
-        return bs, ms, float(sum(ms))
-
+    af = [float(x) for x in a]
+    tail = [pieces[i] if i in tail_set else None for i in range(n)]
     lo, hi = 1e-30, 1e30
-    bs, _, g_max = allocate(lo)
+    bs, _, g_max = _gk_allocate(af, tail, lo)
     if g_max <= p:  # budget cannot be filled: caps are optimal
-        return float(np.dot(a, bs))
-    _, _, g_min = allocate(hi)
-    if g_min > p + 1e-12:
+        return float(np.dot(a, bs)), lo
+    _, _, g_min = _gk_allocate(af, tail, hi)
+    if g_min > p + _GK_BUDGET_SLACK:
         return None  # regime infeasible: tail entry fees alone exceed p
     for _ in range(300):
         mid = math.sqrt(lo * hi)
-        g = allocate(mid)[2]
+        g = _gk_allocate(af, tail, mid)[2]
         if g > p:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-14 * hi and hi - lo < 1.0:
             break
-    bs, ms, g = allocate(hi)  # feasible side
+    bs, ms, g = _gk_allocate(af, tail, hi)  # feasible side
     # spend any remainder left by a budget jump (linear tail segments)
     for _ in range(2 * n + 2):
         remaining = p - g
@@ -338,25 +375,65 @@ def _gk_solve_regime(
             break
         best_gain, best_i, best_b, best_m = 0.0, -1, 0.0, 0.0
         for i in range(n):
-            if a[i] == 0.0:
+            if af[i] == 0.0:
                 continue
-            if in_tail[i]:
-                b_new = M[i].tail_exponent_inverse(ms[i] + remaining)
+            piece = tail[i]
+            if piece is not None:
+                b_new = piece.m.tail_exponent_inverse(ms[i] + remaining)
                 if b_new is None:
                     continue
-                b_new = min(b_new, caps[i])
-                m_new = M[i].tail_exponent(b_new)
+                b_new = min(b_new, piece.cap)
+                m_new = piece.m.tail_exponent(b_new)
             else:
                 b_new = min(math.sqrt(ms[i] + remaining), 1.0)
                 m_new = b_new * b_new
-            gain = float(a[i]) * (b_new - bs[i])
+            gain = af[i] * (b_new - bs[i])
             if gain > best_gain:
                 best_gain, best_i, best_b, best_m = gain, i, b_new, m_new
         if best_i < 0:
             break
         g += best_m - ms[best_i]
         bs[best_i], ms[best_i] = best_b, best_m
-    return float(np.dot(a, bs))
+    return float(np.dot(a, bs)), hi
+
+
+class _DualBound:
+    """Weak-duality bound, at one multiplier lam > 0, on the value _gk_solve
+    returns for any regime.
+
+    Every allocation the solver returns lies on the regime's pieces and
+    spends at most p + _GK_BUDGET_SLACK, so its value is at most
+    U(lam) = lam (p + slack) + sum_i max_{b in piece_i} (a_i b - lam M_i(b)),
+    whose maximizers are the ones _gk_allocate takes.
+
+    The rounding margin is 16 (n + 2) eps times the sum of the absolute
+    values of U's terms.  Each term, the sum and the solver's value are off
+    by a few ulps of that sum; each cost the solver tested its budget with
+    is off by a few ulps of max(1, M_i), which lam (p + slack) covers n
+    times over as p >= 1; brentq's root error lowers U only to second
+    order.  The margin scales with a, as the problem does.  A non-finite
+    bound skips nothing.
+    """
+
+    def __init__(self, a: np.ndarray, pieces: Sequence[_TailPiece], p: float, lam: float):
+        af = [float(x) for x in a]
+        self.budget = lam * (p + _GK_BUDGET_SLACK)
+        per_piece = []
+        for tail in ([None] * len(af), pieces):
+            bs, ms, _ = _gk_allocate(af, tail, lam)
+            per_piece.append([(ai * b - lam * m, ai * b + lam * m) for ai, b, m in zip(af, bs, ms)])
+        # per coordinate: (term, |term|) on the quadratic, then on the tail piece
+        self.terms = list(zip(*per_piece))
+        self.rel = 16.0 * (len(af) + 2) * math.ulp(1.0)
+
+    def upper(self, tail_set: frozenset[int]) -> float:
+        """U(lam) plus the rounding margin for the regime with this tail set."""
+        total = size = self.budget
+        for i, pair in enumerate(self.terms):
+            term, mag = pair[i in tail_set]
+            total += term
+            size += mag
+        return total + self.rel * size
 
 
 def gk_dual_norm(v: CoefficientVector, M: Sequence[OrliczFunction], p: float) -> float:
@@ -371,6 +448,11 @@ def gk_dual_norm(v: CoefficientVector, M: Sequence[OrliczFunction], p: float) ->
     two regimes, with ties resolved toward the largest maximizer.  It
     solves on the coordinates in canonical order, so the value is bitwise
     invariant under permutations of the input.
+
+    A regime is skipped when its weak-duality bound at the multiplier of
+    the best regime so far (_DualBound, rounding margin included) lies
+    below the best value: its solve could not have beaten it, so the value
+    is bitwise the maximum over every regime.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p!r}")
@@ -384,9 +466,13 @@ def gk_dual_norm(v: CoefficientVector, M: Sequence[OrliczFunction], p: float) ->
     caps = [mi.largest_sublevel(p) for mi in M]
     if not all(map(math.isfinite, caps)):
         raise UnboundedSupremumError("a coordinate's sublevel set is unbounded")
-    best = 0.0
+    pieces = [_TailPiece(mi, cap) for mi, cap in zip(M, caps)]
+    best, bound = 0.0, None
     for tail_set in _gk_regimes(a, M):
-        val = _gk_solve_regime(a, M, p, caps, tail_set)
-        if val is not None and val > best:
-            best = val
+        if bound is not None and bound.upper(tail_set) < best:
+            continue
+        solved = _gk_solve(a, pieces, p, tail_set)
+        if solved is not None and solved[0] > best:
+            best = solved[0]
+            bound = _DualBound(a, pieces, p, solved[1])
     return best

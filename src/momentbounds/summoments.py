@@ -228,6 +228,8 @@ def _scale_moment(m: float, e: int | None, p: float) -> float | None:
     float range."""
     if e is None or m == 0.0:
         return m
+    if not math.isfinite(e * p):
+        return None
     whole = math.floor(e * p)
     x = m * 2.0 ** (e * p - whole)
     return math.ldexp(x, whole) if -1022 < math.frexp(x)[1] + whole <= 1024 else None
@@ -366,9 +368,10 @@ def _enumeration_totals(a: np.ndarray, p) -> np.ndarray:
 
     The patterns are taken in blocks of 2^20: the partial sums of the first
     21 coefficients are built once, and each sign pattern of the remaining
-    ones is applied to a copy of that block.  Rows go in chunks whose blocks
-    hold at most 2^20 partial sums together, so memory is O(2^20) whatever n
-    and the number of rows are, while time stays proportional to 2^{n-1}.
+    ones is applied to that block, written to a second one.  Rows go in
+    chunks whose blocks hold at most 2^20 partial sums together, so memory
+    is O(2^20) whatever n and the number of rows are, while time stays
+    proportional to 2^{n-1}.
     Every float operation and the summation order of a row are those of a
     sweep over one 2^{n-1}-element array summed in 2^20-element chunks, so
     a row gets the same bits in any batch.
@@ -402,8 +405,8 @@ def _enumeration_totals(a: np.ndarray, p) -> np.ndarray:
             # the order of the 2^20-element chunks of the whole 2^{n-1} sweep
             block = np.empty_like(base)
             for pattern in range(1 << rest.shape[1]):
-                np.copyto(block, base)
-                for k in range(rest.shape[1]):
+                (np.subtract if pattern & 1 else np.add)(base, rest[:, 0:1], out=block)
+                for k in range(1, rest.shape[1]):
                     if pattern >> k & 1:
                         block -= rest[:, k : k + 1]
                     else:

@@ -11,6 +11,7 @@ from momentbounds.bounds import (
     BoundInterval,
     OrliczFunction,
     _gk_order,
+    _gk_regimes,
     _gk_solve_regime,
     comp2_bounds,
     exponential_bounds,
@@ -312,6 +313,53 @@ class TestGkRegimes:
                 perm = rng.permutation(n)
                 signs = rng.choice([-1.0, 1.0], n)
                 assert gk_dual_norm(CV(signs * a[perm]), [Ms[i] for i in perm], p) == want
+
+    @staticmethod
+    def regime_values(a, Ms, p):
+        """_gk_solve_regime on every regime of gk_dual_norm, in its order."""
+        order = _gk_order(np.abs(a), Ms)
+        abs_a, Ms = np.abs(a)[order], [Ms[i] for i in order]
+        caps = [m.largest_sublevel(p) for m in Ms]
+        return [_gk_solve_regime(abs_a, Ms, p, caps, s) for s in _gk_regimes(abs_a, Ms)]
+
+    def test_skipped_regimes_leave_the_maximum(self):
+        # gk_dual_norm skips the regimes its weak-duality bound rules out; the
+        # value is still bitwise the maximum over every regime
+        rng = np.random.default_rng(27)
+        for k in range(72):
+            if k % 4 == 3:
+                n = int(rng.integers(2, 9))
+                pool = [self.LAWS[int(i)] for i in rng.choice(len(self.LAWS), int(rng.integers(2, 4)), replace=False)]
+                Ms = [OrliczFunction(pool[int(rng.integers(0, len(pool)))]) for _ in range(n)]
+            else:
+                n = int(rng.integers(1, 21))
+                Ms = [OrliczFunction(self.LAWS[k % len(self.LAWS)])] * n
+            a = rng.uniform(0.05, 2.0, n) * rng.choice([-1, 1], n)
+            p = float(rng.choice([1.0, 2.0, 3.0, 5.5, 8.0, 17.5, 30.0]))
+            want = max([0.0] + [x for x in self.regime_values(a, Ms, p) if x is not None])
+            assert gk_dual_norm(CV(a), Ms, p) == want
+
+    def test_weak_duality_skips_most_regimes(self, monkeypatch):
+        solves = []
+        solve = bounds._gk_solve
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(bounds, "_gk_solve", counted)
+        a = np.random.default_rng(20).uniform(0.1, 1.0, 20)
+        Ms = [OrliczFunction(dists.gaussian())] * 20
+        got = gk_dual_norm(CV(a), Ms, 8.0)
+        assert len(list(_gk_regimes(a, Ms))) == 21 and len(solves) <= 5
+        assert got == max(x for x in self.regime_values(a, Ms, 8.0) if x is not None)
+
+    def test_tied_regimes_return_their_value(self):
+        # the zero coefficient's cost on either piece fits the budget beside the
+        # Rademacher coordinate's, so both regimes give exactly 1
+        Ms = [OrliczFunction(dists.rademacher()), OrliczFunction(dists.sym_exponential())]
+        assert self.regime_values(np.array([1.0, 0.0]), Ms, 3.0) == [1.0, 1.0]
+        assert gk_dual_norm(CV([1.0, 0.0]), Ms, 3.0) == 1.0
 
     def test_two_law_mix_past_sixteen_coordinates(self):
         rng = np.random.default_rng(20)

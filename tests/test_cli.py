@@ -326,8 +326,13 @@ class TestEngineFailureExitCodes:
                 ["moment", "--coeffs", "1,2", "--dist", "gaussian"],
                 "result out of float range: the moment command at p=1e+308: ",
             ),
+            # e p of the unit-scale split leaves the float range; Monte Carlo refuses its ci
+            (
+                ["moment", "--coeffs", "3,3", "--dist", "rademacher", "--seed", "1"],
+                "the moment command at p=1e+308: monteCarlo's ci at p=1e+308 lies outside the normal float range",
+            ),
         ],
-        ids=["verify", "bounds", "sweep", "monteCarlo", "extremality", "moment"],
+        ids=["verify", "bounds", "sweep", "monteCarlo", "extremality", "moment", "moment-scale-split"],
     )
     def test_order_past_the_float_range_is_named(self, argv, message, capsys):
         status, out, err = invoke(argv + ["--p", "1e308"], capsys)

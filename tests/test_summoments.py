@@ -53,6 +53,13 @@ class TestMomentEstimate:
         with pytest.raises(OverflowError):
             MomentEstimate.scaled(2.0, 1.0, 1024, "enumeration", Rigor.exact())
 
+    def test_scale_moment_past_the_float_range_is_none(self):
+        # m 2^{e p}, None outside the normal range, also once e p itself overflows
+        assert summoments._scale_moment(0.5, 3, 2.0) == 32.0
+        assert summoments._scale_moment(0.5, 3, 1e308) is None
+        assert summoments._scale_moment(0.5, -3, 1e308) is None
+        assert summoments._scale_moment(0.5, 1100, 1.0) is None
+
     def test_exact_rigor_restricted_to_exact_paths(self):
         with pytest.raises(ValueError):
             MomentEstimate.scaled(2.0, 1.0, 1, "monteCarlo", Rigor.exact())
