@@ -18,13 +18,15 @@ Bound sources (``BoundInterval.source``, the keys of ``BOUND_SOURCES``):
                    clamped below at 0.
 
 The dual-norm functional sup{ sum a_i b_i : sum M_i(b_i) <= p } with
-M_i(x) = x^2 for |x| <= 1 and M_i(x) = -ln P(|X_i| >= |x|) for |x| > 1 is
-solved by Lagrange-multiplier bisection on the budget, treating the jump of
-M at |x| = 1 as a kink (both one-sided candidates evaluated, ties resolved
-toward the largest maximizer), plus an exact budget top-up pass for the
-discontinuous-budget case.  Each candidate regime pins every coordinate to
-one piece of M; per cost the tail piece goes to a prefix of that cost's
-coordinates sorted by |a|, so n_c coordinates of cost c give n_c + 1 choices.
+M_i(x) = x^2 for |x| <= 1 and M_i(x) = N(|x|) = -ln P(|X_i| >= |x|) for
+|x| > 1 is solved by Lagrange-multiplier bisection on the budget, treating
+the jump of M at |x| = 1 as a kink (both one-sided candidates evaluated,
+ties resolved toward the largest maximizer), plus an exact budget top-up
+pass for the discontinuous-budget case.  N, its inverse, its slope and the
+slope's inverse are read from the law's record (dists.LAWS).  Each
+candidate regime pins every coordinate to one piece of M; per cost the tail
+piece goes to a prefix of that cost's coordinates sorted by |a|, so n_c
+coordinates of cost c give n_c + 1 choices.
 A regime whose weak-duality bound lies below the best value found is not
 solved.
 """
@@ -182,7 +184,8 @@ def gaussian_approx_gap(v: CoefficientVector, p: float) -> BoundInterval:
 
 class OrliczFunction:
     """Per-coordinate cost M(x) = x^2 for |x| <= 1, N(|x|) beyond, where
-    N(t) = -ln P(|X| >= t) is the tail exponent of a unit-variance law.
+    N(t) = -ln P(|X| >= t) is the tail exponent of a unit-variance law,
+    read with its inverse and slope from the law's record (dists.LAWS).
 
     M is even and nondecreasing on each piece; when N(1) != 1 it jumps at
     |x| = 1 and the solver treats the jump as a kink.
@@ -190,10 +193,10 @@ class OrliczFunction:
 
     def __init__(self, d: DistributionSpec):
         self.dist = d
+        self.law = dists.LAWS[d.kind]
 
     def tail_exponent(self, x: float) -> float:
-        tp = dists.tail_probability(self.dist, x)
-        return math.inf if tp == 0.0 else -math.log(tp)
+        return self.law.exponent(self.dist, x)
 
     def __call__(self, x: float) -> float:
         ax = abs(x)
@@ -201,27 +204,12 @@ class OrliczFunction:
 
     def tail_exponent_inverse(self, y: float) -> float | None:
         """x with N(x) = y, or None when N never attains finite y (Rademacher)."""
-        d = self.dist
-        if d.kind == dists.RADEMACHER:
-            return None
-        if d.kind == dists.SYM_EXPONENTIAL:
-            return y / math.sqrt(2.0)
-        if d.kind == dists.GAUSSIAN:
-            from scipy.special import erfcinv
-
-            return math.sqrt(2.0) * float(erfcinv(math.exp(-y)))
-        return d.scale * y ** (1.0 / d.alpha)
+        inverse = self.law.exponent_inverse
+        return None if inverse is None else inverse(self.dist, y)
 
     def tail_exponent_slope(self, x: float) -> float:
         """N'(x) for x >= 1 (N is convex, so the slope is nondecreasing)."""
-        d = self.dist
-        if d.kind == dists.RADEMACHER:
-            return math.inf
-        if d.kind == dists.SYM_EXPONENTIAL:
-            return math.sqrt(2.0)
-        if d.kind == dists.GAUSSIAN:
-            return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) / math.erfc(x / math.sqrt(2.0))
-        return (d.alpha / d.scale) * (x / d.scale) ** (d.alpha - 1.0)
+        return self.law.exponent_slope(self.dist, x)
 
     def largest_sublevel(self, y: float) -> float:
         """max{x >= 0 : M(x) <= y} for y >= 0."""
@@ -249,19 +237,17 @@ class _TailPiece:
 
     def argmax(self, s: float) -> tuple[float, float]:
         """(b, N(b)) for the b in [1, cap] with N'(b) = s, clipped to the
-        piece: the largest maximizer of s b - N(b) on it."""
-        d = self.m.dist
-        if d.kind == dists.SYM_EXPONENTIAL or (d.kind == dists.WEIBULL_TAIL and d.alpha == 1.0):
-            # constant slope: the clip decides (largest maximizer on ties)
-            b = self.cap if s >= self.slope1 else 1.0
+        piece: the largest maximizer of s b - N(b) on it.  The cap comes
+        first, so a constant slope (slope1 == slope_cap) ties toward it."""
+        inverse = self.m.law.slope_inverse
+        if s >= self.slope_cap:
+            b = self.cap
         elif s <= self.slope1:
             b = 1.0
-        elif s >= self.slope_cap:
-            b = self.cap
-        elif d.kind == dists.WEIBULL_TAIL:
-            b = min(max(d.scale * (s * d.scale / d.alpha) ** (1.0 / (d.alpha - 1.0)), 1.0), self.cap)
+        elif inverse is not None:
+            b = min(max(inverse(self.m.dist, s), 1.0), self.cap)
         else:
-            # Gaussian; imported here, so that importing the package leaves
+            # imported here, so that importing the package leaves
             # scipy.optimize unloaded
             from scipy.optimize import brentq
 

@@ -172,11 +172,13 @@ def _validate(job: JobSpec):
             _fail("distribution", f"required for {job.command!r}")
         if job.p is None:
             _fail("p", f"required for {job.command!r}")
-    if job.distribution == dists.WEIBULL_TAIL and job.alpha is None:
-        _fail("alpha", "required for weibullTail")
+    kind = _law_kind(job)
+    if kind is not None and (job.alpha is not None) != ("alpha" in dists.LAWS[kind].params):
+        _fail("alpha", f"required for {kind}" if job.alpha is None else f"{kind} takes no alpha")
     engines = job.engine or []
     if job.distribution is not None:
-        law = summoments.engine_law(_distribution(job))
+        d = _distribution(job)
+        law = dists.LAWS[d.kind].engine_spec(d).kind
         for i, e in enumerate(engines):
             if law not in summoments.ENGINES[e].laws:
                 _fail(f"engine[{i}]", f"{e!r} does not compute {job.distribution!r} sums")
@@ -207,10 +209,14 @@ def _job_digest(job: JobSpec) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _law_kind(job: JobSpec) -> str | None:
+    # the law the job runs; a sweep without --dist runs the two-sided exponential
+    return job.distribution or (dists.SYM_EXPONENTIAL if job.command == "sweep" else None)
+
+
 def _distribution(job: JobSpec) -> dists.DistributionSpec:
-    if job.distribution == dists.WEIBULL_TAIL:
-        return dists.weibull_tail(job.alpha)
-    return dists.DistributionSpec(job.distribution)
+    law = dists.LAWS[_law_kind(job)]
+    return law.spec(**{name: getattr(job, name) for name in law.params})
 
 
 def _coeff_cell(values) -> str:
@@ -348,9 +354,9 @@ def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
     every applicable bound interval.  Case k (from 1) draws its vector from
     substream k - 1 and takes its reference at seed + k; given coefficients
     are the one case, with the first family and size as its labels."""
-    d = _distribution(job) if job.distribution else dists.sym_exponential()
+    d = _distribution(job)
     # a sweep row needs p >= 2, and p >= 3 for Weibull-law sums
-    lowest = 3.0 if summoments.engine_law(d) == dists.WEIBULL_TAIL else 2.0
+    lowest = 3.0 if dists.LAWS[d.kind].engine_spec(d).kind == dists.WEIBULL_TAIL else 2.0
     ps = _orders_from(lowest, job.p or [2.0, 3.0, 4.0, 6.0], f"sweep rows of {d.kind} sums")
     cases = [(family, n) for family in verify.COEFFICIENT_REGIMES for n in _SWEEP_SIZES]
     records = []

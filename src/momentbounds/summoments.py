@@ -16,14 +16,16 @@ Seven routes to E|S|^p / ||S||_p:
                          C_p = -(2/pi) sin(p pi/2) Gamma(p+1) and P_m the
                          Taylor polynomial of phi_S of degree 2 floor(p/2)
                          from the even-moment program, for every p > 0 that
-                         is not an even integer (two-sided exponential and
-                         Weibull alpha = 2; Rademacher at p > 2), whose phi_S
-                         are closed forms,
+                         is not an even integer, on the laws whose record
+                         (dists.LAWS) has a closed-form phi_X: two-sided
+                         exponential, Weibull alpha = 2, Rademacher at p > 2,
 * ``haagerup``         — charFunction at 2 < p < 4, where the integral is
                          Haagerup's (1981) with m = 1,
 * ``monteCarlo``       — seeded sample mean with a 3-sigma confidence interval.
 
-Plus the 2-stable closed form gamma_p ||a||_2 for Gaussian sums.
+Plus the 2-stable closed form gamma_p ||a||_2 for Gaussian sums.  Each
+law's default ladder of these engines is in its record, and the engines
+compute the sums of a spec d with its record's engine_spec(d).
 
 One scale rule: every engine computes only on the unit-scale vector of
 _canonical, the nonincreasing |a_i| divided by the power of two 2^e that
@@ -38,11 +40,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import coeffs, dists
 from .coeffs import CoefficientVector
-from .dists import SQRT2, DistributionSpec, gamma_p, log_gamma
+from .dists import CHAR_FUNCTION_TOLERANCE, SQRT2, DistributionSpec, gamma_p, log_gamma
 from .errors import (
     DegenerateCoefficientsError,
     EngineCapacityError,
@@ -60,8 +61,6 @@ __all__ = [
     "RESIDUE_MAGNITUDE_CAP",
     "Engine",
     "ENGINES",
-    "LADDERS",
-    "engine_law",
     "Rigor",
     "MomentEstimate",
     "even_sum_moment",
@@ -106,16 +105,16 @@ class Engine:
         return "seed" in self.args
 
 
-_SIGNS = frozenset({dists.RADEMACHER})
 # the refusals of the engines that run _char_function_integral
 _INTEGRAL_REFUSALS = (EngineCapacityError, QuadratureError)
 _EXPONENTIAL = frozenset({dists.SYM_EXPONENTIAL})
-_CHAR_LAWS = _SIGNS | _EXPONENTIAL | {dists.WEIBULL_TAIL}  # the laws of _char_functions, Weibull at alpha = 2
+# the laws with a closed-form phi_X in their record
+_CHAR_LAWS = frozenset(kind for kind, law in dists.LAWS.items() if law.char is not None)
 ENGINES = {
     "evenMoments": Engine(
         "even_sum_moment", frozenset(dists.KINDS), True, (EngineCapacityError,), args=("v", "d", "p")
     ),
-    "enumeration": Engine("rademacher_sum_moment", _SIGNS, True, (EngineCapacityError,)),
+    "enumeration": Engine("rademacher_sum_moment", frozenset({dists.RADEMACHER}), True, (EngineCapacityError,)),
     "partialFractions": Engine(
         "laplace_sum_moment_exact", _EXPONENTIAL, True, (DegenerateCoefficientsError, ResidueCancellationError)
     ),
@@ -127,21 +126,6 @@ ENGINES = {
     ),
     "closedForm": Engine("gaussian_sum_norm", frozenset({dists.GAUSSIAN}), True),
 }
-
-# default preference ladder of each engine law, strongest engine first
-LADDERS = {
-    dists.RADEMACHER: ("evenMoments", "enumeration", "charFunction", "monteCarlo"),
-    dists.SYM_EXPONENTIAL: ("partialFractions", "charFunction", "recursion", "monteCarlo"),
-    dists.GAUSSIAN: ("closedForm",),
-    dists.WEIBULL_TAIL: ("evenMoments", "charFunction", "monteCarlo"),
-}
-
-
-def engine_law(d: DistributionSpec) -> str:
-    """The law the engines see: Weibull alpha = 1 is the two-sided exponential."""
-    if d.kind == dists.WEIBULL_TAIL and d.alpha == 1.0:
-        return dists.SYM_EXPONENTIAL
-    return d.kind
 
 
 @dataclass(frozen=True)
@@ -561,7 +545,7 @@ def laplace_sum_moment_recursion(v: CoefficientVector, p: float) -> MomentEstima
         level, eps = [0.0] * (n + 1), 0.0
         d = dists.sym_exponential()
         for k, mom in enumerate(_prefix_even_levels(y, d, _SERIES_TERMS), 1):
-            level[k], err = _char_function_integral(d.kind, d.scale, y[:k], mom, q0)
+            level[k], err = _char_function_integral(d, y[:k], mom, q0)
             eps = max(eps, err)
         # a term adds 4 roundings (coef, three products) to the relative error
         # of the level below, and a sum of n nonnegative terms n - 1 more
@@ -578,56 +562,10 @@ def laplace_sum_moment_recursion(v: CoefficientVector, p: float) -> MomentEstima
 
 # --- characteristic-function integral, p not an even integer -----------------
 
-# the largest relative error charFunction may report; it refuses past it
-CHAR_FUNCTION_TOLERANCE = 1e-10
 # Taylor terms of phi_S beyond the subtracted ones, integrated below t0
 _SERIES_TERMS = 13
 _LAST_BLOCK = 2.0**60
 _UNIT_ROUNDOFF = 2.0**-53
-
-
-def _char_functions(law: str, b: float, y: np.ndarray):
-    """For S = sum y_i X_i: phi_S(t), a bound on sup_{s >= t} |phi_S(s)|,
-    E cosh(t S), and the largest t at which the series bound may take
-    E cosh(t S).
-
-    Rademacher signs have phi_X(u) = cos u, bounded by 1, and
-    E cosh(u X) = cosh u is entire.  The two-sided exponential has
-    phi_X(u) = 1/(1 + u^2/2), which decreases, and E cosh(u X) =
-    1/(1 - u^2/2) <= 2 for u <= 1.  Weibull alpha = 2 with scale b has
-    phi_X(u) = 1 - 2x D(x), x = b u/2, with Dawson's function D;
-    |1 - 2x D(x)| <= min(1, 1/x^2), and E cosh(u X) = 1 + sqrt(pi) x e^{x^2}
-    erf(x) is entire."""
-    if law == dists.RADEMACHER:
-
-        def phi(t):
-            return np.cos(np.multiply.outer(t, y)).prod(-1)
-
-        return phi, lambda t: 1.0, lambda t: float(np.prod(np.cosh(y * t))), math.inf
-    if law == dists.SYM_EXPONENTIAL:
-        h = 0.5 * y * y
-
-        def phi(t):
-            return np.exp(-np.log1p(np.multiply.outer(t * t, h)).sum(-1))
-
-        def mgf(t: float) -> float:
-            return math.exp(-float(np.sum(np.log1p(-h * (t * t)))))
-
-        return phi, lambda t: float(phi(t)), mgf, 1.0 / float(y[0])
-    c = 0.5 * b * y
-
-    def phi(t):
-        x = np.multiply.outer(t, c)
-        return (1.0 - 2.0 * x * special.dawsn(x)).prod(-1)
-
-    def envelope(t: float) -> float:
-        return math.exp(-2.0 * float(np.sum(np.log(np.maximum(c * t, 1.0)))))
-
-    def mgf(t: float) -> float:
-        x = c * t
-        return float(np.prod(1.0 + math.sqrt(math.pi) * x * np.exp(x * x) * special.erf(x)))
-
-    return phi, envelope, mgf, math.inf
 
 
 def _power_integral(k: int, p: float, lo: float, hi: float) -> float:
@@ -635,20 +573,17 @@ def _power_integral(k: int, p: float, lo: float, hi: float) -> float:
     return (hi ** (k - p) - lo ** (k - p)) / (k - p)
 
 
-def _char_function_integral(
-    law: str, b: float, y: np.ndarray, mom: list[float], p: float
-) -> tuple[float, float]:
-    """E|S|^p and its relative error bound for S = sum y_i X_i, max |y_i| in
-    [1/2, 1), with levels mom[j] = E S^{2j}, j <= p/2 + 13: the numerics and
-    refusals of char_function_moment; past the float range OverflowError."""
-    # the doubling blocks stop once the phi-tail bound is below `tail` times
-    # the integral, and eps above `tolerance` is refused; a product of
-    # cosines does not decay, so Rademacher closes as T^{-p} only
-    tail, tolerance = (1e-8, 1e-6) if law == dists.RADEMACHER else (1e-15, CHAR_FUNCTION_TOLERANCE)
+def _char_function_integral(d: DistributionSpec, y: np.ndarray, mom: list[float], p: float) -> tuple[float, float]:
+    """E|S|^p and its relative error bound for S = sum y_i X_i, X_i of the
+    law d with a closed-form phi_X, max |y_i| in [1/2, 1), with levels
+    mom[j] = E S^{2j}, j <= p/2 + 13: the numerics and refusals of
+    char_function_moment; past the float range OverflowError."""
+    char = dists.LAWS[d.kind].char
+    tail, tolerance = char.tail, char.tolerance
     n = len(y)
     m = int(p) // 2
     top = m + _SERIES_TERMS
-    phi, envelope, mgf, radius = _char_functions(law, b, y)
+    phi, envelope, mgf, radius = char.sums(d, y)
     coef = [(-1) ** j * mom[j] / math.factorial(2 * j) for j in range(top + 1)]
     t1 = min(4.0 / math.sqrt(mom[1]), radius)
     t0 = 0.25 * t1
@@ -716,10 +651,11 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
         E|S|^p = C_p int_0^inf (phi_S(t) - P_m(t)) t^{-p-1} dt,
         P_m(t) = sum_{j<=m} (-1)^j E S^{2j} t^{2j}/(2j)!,   2m < p < 2m+2,
 
-    with C_p = -(2/pi) Gamma(p+1) sin(p pi/2), for the two-sided exponential,
-    Weibull alpha = 2 and, at p > 2, Rademacher signs, whose phi_S are closed
-    forms.  It runs on the unit-scale vector (max |a_i| in [1/2, 1)), whose
-    moments E S^{2j} come from _even_levels.
+    with C_p = -(2/pi) Gamma(p+1) sin(p pi/2), for the laws whose record has
+    a closed-form phi_X (dists.CharFunction): the two-sided exponential,
+    Weibull alpha = 2 and, at p > 2, Rademacher signs.  It runs on the
+    unit-scale vector (max |a_i| in [1/2, 1)), whose moments E S^{2j} come
+    from _even_levels.
 
     Numerics, with sigma = ||S||_2 of the unit-scale sum, t1 = 4/sigma (at most
     1/max|a_i| for the exponential, whose phi_S has poles) and t0 = t1/4:
@@ -748,20 +684,18 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
         raise ValueError(f"p must be >= 0, got {p!r}")
     if p % 2 == 0:
         raise EngineCapacityError(f"charFunction handles p that is not an even integer, got p={p!r}")
-    law = engine_law(d)
-    if law == dists.RADEMACHER and p < 2:
-        raise EngineCapacityError(f"charFunction handles Rademacher sums at p > 2 only, got p={p!r}")
-    if law not in _CHAR_LAWS or (law == dists.WEIBULL_TAIL and d.alpha != 2.0):
-        raise EngineCapacityError(
-            f"charFunction has no closed-form characteristic function for {d.kind} alpha={d.alpha!r}"
-        )
+    spec = dists.LAWS[d.kind].engine_spec(d)
+    char = dists.LAWS[spec.kind].char
+    refusal = dists.NO_CHAR_FUNCTION.format(d=d) if char is None else char.refusal(spec, p)
+    if refusal is not None:
+        raise EngineCapacityError(f"charFunction {refusal}")
     (y,), (e,) = _canonical(v.as_array())
     y = y[y > 0.0]
     if e is None:
         return MomentEstimate.scaled(p, 0.0, None, "charFunction", Rigor.tolerance(_UNIT_ROUNDOFF))
     try:
         mom = _even_levels(y, d, int(p) // 2 + _SERIES_TERMS)
-        value, eps = _char_function_integral(law, d.scale, y, mom, p)
+        value, eps = _char_function_integral(spec, y, mom, p)
     except OverflowError as exc:
         raise EngineCapacityError(f"charFunction overflows the float range: {exc}") from None
     return MomentEstimate.scaled(p, value, e, "charFunction", Rigor.tolerance(eps))

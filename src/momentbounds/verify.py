@@ -176,22 +176,20 @@ def reference_estimate(
 ) -> MomentEstimate:
     """Strongest available engine for ||sum a_i X_i||_p under d.
 
-    Walks ``prefer`` (default: summoments.LADDERS of the engine law of d,
-    Weibull alpha = 1 taking the two-sided exponential's) and moves past an
+    Walks ``prefer`` (default: the ladder in the record of the spec the
+    engines compute d's sums with, its record's engine_spec) and moves past an
     engine that refuses the input.  A ladder that reaches Monte Carlo
     without a seed raises JobValidationError on ``seed``: there is no default
     seed, not even on a fallback.
     """
-    law = summoments.engine_law(d)
-    # Weibull alpha = 1 is the two-sided exponential, to the bit on every engine
-    spec = d if law == d.kind else dists.sym_exponential()
+    spec = dists.LAWS[d.kind].engine_spec(d)
     given = {"v": v, "d": spec, "p": p, "samples": samples, "seed": seed}
     last_error: Exception | None = None
-    for method in summoments.LADDERS[law] if prefer is None else prefer:
+    for method in dists.LAWS[spec.kind].ladder if prefer is None else prefer:
         engine = summoments.ENGINES.get(method)
         if engine is None:
             raise ValueError(f"unknown engine {method!r}")
-        if law not in engine.laws:
+        if spec.kind not in engine.laws:
             raise ValueError(f"engine {method!r} does not compute {d.kind!r} sums")
         if engine.seeded and seed is None:
             raise JobValidationError("seed", f"required: the {d.kind} engine ladder reached {method}")
@@ -213,7 +211,8 @@ def sample_coefficient_vector(
     head-dominated (spiked)."""
     if regime is None:
         regime = COEFFICIENT_REGIMES[int(rng.integers(0, len(COEFFICIENT_REGIMES)))]
-    signs = dists._signs(rng, n)  # the draw and values of rng.choice([-1.0, 1.0], n)
+    # the draw and values of rng.choice([-1.0, 1.0], n)
+    signs = dists.LAWS[dists.RADEMACHER].sample(dists.rademacher(), rng, n)
     if regime == "uniform":
         vals = rng.uniform(-1.0, 1.0, n)
     elif regime == "geometric":
@@ -415,7 +414,7 @@ def applicable_bounds(
     logconc endpoints grow with it, so when it is not exact they span the
     images of its certainty interval.  All other endpoints are exact.
     """
-    law = summoments.engine_law(d)
+    law = dists.LAWS[d.kind].engine_spec(d).kind
     out = []
     for name, source in bounds.BOUND_SOURCES.items():
         if source.law not in (law, None) or p < source.p_min:
@@ -438,7 +437,8 @@ def applicable_bounds(
 def lowest_bound_order(d: DistributionSpec) -> float:
     """The lowest p at which applicable_bounds has an interval for d: the
     least lowest order of the bounds.BOUND_SOURCES for its engine law."""
-    return min(s.p_min for s in bounds.BOUND_SOURCES.values() if s.law in (summoments.engine_law(d), None))
+    law = dists.LAWS[d.kind].engine_spec(d).kind
+    return min(s.p_min for s in bounds.BOUND_SOURCES.values() if s.law in (law, None))
 
 
 def check_bounds_sandwich(

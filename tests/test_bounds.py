@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +195,16 @@ class TestOrliczFunction:
             for y in [0.25, 1.0, 2.0, 5.0]:
                 x = m.largest_sublevel(y)
                 assert m(x) <= y + 1e-10
+        # past y = 708.4 erfc(x/sqrt2) is no normal float, and the Gaussian
+        # pieces go to log space; M(x) may round an ulp below y (at y = 1e4)
+        m = OrliczFunction(dists.gaussian())
+        for y in [740.0, 745.5, 1e4]:
+            x = m.largest_sublevel(y)
+            assert y * (1.0 - 1e-15) <= m(x) <= y + 1e-10
+        # at y = inf the set is unbounded, which gk_dual_norm reports
+        assert m.largest_sublevel(math.inf) == math.inf
+        with pytest.raises(UnboundedSupremumError, match="unbounded"):
+            gk_dual_norm(CV([1.0]), [m], math.inf)
 
     def test_rademacher_sublevel_capped_at_one(self):
         m = OrliczFunction(dists.rademacher())
@@ -214,6 +225,15 @@ class TestGkDualNorm:
             for p in [2.0, 3.0, 6.0]:
                 got = gk_dual_norm(CV([1.3]), [m], p)
                 assert got == pytest.approx(oracles.gk_grid_oracle([1.3], [m], p), rel=1e-9)
+
+    @pytest.mark.parametrize("p", [744.0, 745.5, 1000.0, 1e6])
+    def test_gaussian_coordinate_past_the_float_range(self, p):
+        # one coordinate's value is N^{-1}(p), N(t) = -ln erfc(t/sqrt2), whose
+        # erfc is no normal float past p = 708.4
+        with mpmath.workdps(50):
+            want = mpmath.findroot(lambda x: -mpmath.log(mpmath.erfc(x / mpmath.sqrt(2))) - p, math.sqrt(2.0 * p))
+        got = gk_dual_norm(CV([1.0]), [OrliczFunction(dists.gaussian())], p)
+        assert got == pytest.approx(float(want), rel=1e-15)
 
     def test_random_instances_against_grid_oracle(self):
         rng = np.random.default_rng(12)

@@ -174,6 +174,12 @@ _MOMENT_ARGV = ["moment", "--coeffs", "1,2", "--dist", "rademacher", "--p", "3"]
         ([*_MOMENT_ARGV, "--seed", "-1"], "seed"),
         (["moment", "--coeffs", "1,2", "--dist", "weibullTail", "--alpha", "abc", "--p", "3"], "alpha"),
         (["foo", *_MOMENT_ARGV[1:]], "command"),
+        # a law without a shape takes no alpha, the sweep's default exponential included
+        (["moment", "--coeffs", "1,1", "--dist", "rademacher", "--alpha", "2", "--p", "3"], "alpha"),
+        (["bounds", "--coeffs", "1,1", "--dist", "gaussian", "--alpha", "3", "--p", "3"], "alpha"),
+        (["sweep", "--alpha", "2", "--seed", "1"], "alpha"),
+        # verify and search run no one law, but check --alpha against a given --dist
+        (["verify", "--dist", "rademacher", "--alpha", "2", "--seed", "1"], "alpha"),
     ],
 )
 def test_bad_flag_values_are_rejected_on_their_field(argv, path, capsys):

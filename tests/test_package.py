@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -54,3 +55,41 @@ def test_cli_jobs_leave_scipy_integrate_and_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the one comparison of a law outside dists, and why it stays: a sweep row of
+# Weibull-law sums needs p >= 3, where the logconc interval applies
+_LAW_COMPARISON_EXEMPT = {("cli.py", "_run_sweep")}
+
+
+def test_laws_are_read_from_one_table():
+    # what a law is lives in its dists.LAWS record: outside dists no line
+    # compares a law kind, its constant or string, or a shape alpha
+    from momentbounds import dists
+
+    constants = {"RADEMACHER", "SYM_EXPONENTIAL", "GAUSSIAN", "WEIBULL_TAIL"}
+    found = []
+    for path in sorted(Path(momentbounds.__file__).parent.glob("*.py")):
+        if path.name == "dists.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            operands += [e for o in operands if isinstance(o, (ast.Tuple, ast.List, ast.Set)) for e in o.elts]
+            kind = any(
+                (isinstance(o, ast.Attribute) and o.attr in constants)
+                or (isinstance(o, ast.Name) and o.id in constants)
+                or (isinstance(o, ast.Constant) and o.value in dists.KINDS)
+                for o in operands
+            )
+            shape = any(isinstance(o, ast.Attribute) and o.attr == "alpha" for o in operands) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+            )
+            if kind or shape:
+                owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(owners, key=lambda f: f.lineno).name if owners else None
+                found.append((path.name, owner, node.lineno))
+    assert [f for f in found if f[:2] not in _LAW_COMPARISON_EXEMPT] == []

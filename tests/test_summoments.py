@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, special
+from scipy import integrate
 
 import oracles
 from momentbounds import dists, summoments
@@ -376,8 +376,8 @@ class TestRecursionEngine:
         calls = []
         real = summoments._char_function_integral
 
-        def spy(law, b, y, mom, q):
-            value, err = real(law, b, y, mom, q)
+        def spy(d, y, mom, q):
+            value, err = real(d, y, mom, q)
             calls.append((list(y), q, err))
             return value, err
 
@@ -542,14 +542,27 @@ class TestCharFunction:
             assert scaled.raw_moment == pytest.approx(1.7**p * base.raw_moment, rel=1e-13)
 
     def test_weibull_bounds_it_relies_on(self):
-        # |phi_X(u)| <= min(1, 1/x^2) at x = b u/2, the phi-tail envelope
-        x = np.linspace(1e-3, 200.0, 400_001)
-        assert np.all(np.abs(1.0 - 2.0 * x * special.dawsn(x)) * np.maximum(x * x, 1.0) <= 1.0)
-        # E cosh(u X) = 1 + sqrt(pi) x e^{x^2} erf(x), the series bound, by quadrature
-        for u in (0.5, 2.0, 4.0):
-            want, _ = integrate.quad(lambda r: math.cosh(u * r) * 2.0 * r * math.exp(-r * r), 0.0, 40.0)
-            x = 0.5 * u
-            assert 1.0 + math.sqrt(math.pi) * x * math.exp(x * x) * math.erf(x) == pytest.approx(want, rel=1e-12)
+        # the pieces of every record with a closed-form phi, at a shape it applies to
+        laws = (dists.rademacher(), dists.sym_exponential(), dists.weibull_tail(2.0))
+        assert {d.kind for d in laws} == {k for k, law in dists.LAWS.items() if law.char is not None}
+        t = np.linspace(1e-3, 400.0, 400_001)
+        for d in laws:
+            char = dists.LAWS[d.kind].char
+            assert char.refusal(d, 3.0) is None
+            phi, envelope, mgf, radius = char.sums(d, np.array([1.0]))
+            # the phi-tail envelope bounds sup_{s >= t} |phi_X(s)| at every grid point
+            sup = np.maximum.accumulate(np.abs(phi(t))[::-1])[::-1]
+            assert np.all(np.array([envelope(s) for s in t.tolist()]) >= sup), d
+
+            # E cosh(u X) = 1 + int_0^inf u sinh(u r) P(|X| >= r) dr, the
+            # series bound, by quadrature below the radius
+            def integrand(r, u):
+                tail = dists.tail_probability(d, r)
+                return u * math.sinh(u * r) * tail if tail else 0.0
+
+            for u in [u for u in (0.5, 0.9, 2.0, 4.0) if u < radius]:
+                want, _ = integrate.quad(integrand, 0.0, 200.0, args=(u,), points=[1.0], limit=400)
+                assert mgf(u) == pytest.approx(1.0 + want, rel=1e-12), (d, u)
 
     @pytest.mark.parametrize("p", [0.0, 2.0, 4.0, 6.0])
     def test_refuses_even_orders(self, p):
