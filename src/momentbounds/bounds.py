@@ -296,23 +296,6 @@ def _gk_regimes(a: np.ndarray, M: Sequence[OrliczFunction]):
         yield frozenset(itertools.chain.from_iterable(choice))
 
 
-def _gk_solve_regime(
-    a: np.ndarray, M: Sequence[OrliczFunction], p: float, caps: Sequence[float], tail_set: frozenset[int]
-) -> float | None:
-    """Exact optimum with each coordinate pinned to one piece of M.
-
-    Quad coordinates take b in [0, 1] at cost b^2; tail coordinates take
-    b in [1, caps[i]] at cost N(b) (convex), so the restricted problem is
-    concave and multiplier bisection is exact.  Linear tail segments
-    (constant N') make the budget jump at the critical multiplier; the
-    remainder is then spent in closed form on the best coordinate, which is
-    exact because tied linear segments all trade budget at the same rate.
-    None when the regime is infeasible.
-    """
-    solved = _gk_solve(a, [_TailPiece(m, cap) for m, cap in zip(M, caps)], p, tail_set)
-    return None if solved is None else solved[0]
-
-
 def _gk_allocate(
     af: Sequence[float], tail: Sequence[_TailPiece | None], lam: float
 ) -> tuple[list[float], list[float], float]:
@@ -333,7 +316,18 @@ def _gk_allocate(
 def _gk_solve(
     a: np.ndarray, pieces: Sequence[_TailPiece], p: float, tail_set: frozenset[int]
 ) -> tuple[float, float] | None:
-    """_gk_solve_regime's optimum and the multiplier of its final allocation."""
+    """Exact optimum with each coordinate pinned to one piece of M, and the
+    multiplier of its final allocation; None when the regime is infeasible.
+
+    Quad coordinates take b in [0, 1] at cost b^2; the coordinates of
+    tail_set take b in [1, cap] of their piece at cost N(b) (convex), so the
+    restricted problem is concave and multiplier bisection is exact.  Linear
+    tail segments (constant N') make the budget jump at the critical
+    multiplier; the remainder is then spent in closed form on the best
+    coordinate, which is exact because tied linear segments all trade budget
+    at the same rate.  A tail piece always has N^{-1}: only a law with a
+    finite N'(1) gets one, and every such law states its inverse.
+    """
     n = len(a)
     af = [float(x) for x in a]
     tail = [pieces[i] if i in tail_set else None for i in range(n)]
@@ -365,10 +359,7 @@ def _gk_solve(
                 continue
             piece = tail[i]
             if piece is not None:
-                b_new = piece.m.tail_exponent_inverse(ms[i] + remaining)
-                if b_new is None:
-                    continue
-                b_new = min(b_new, piece.cap)
+                b_new = min(piece.m.tail_exponent_inverse(ms[i] + remaining), piece.cap)
                 m_new = piece.m.tail_exponent(b_new)
             else:
                 b_new = min(math.sqrt(ms[i] + remaining), 1.0)

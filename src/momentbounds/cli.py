@@ -42,7 +42,6 @@ EXIT_USAGE = 1
 EXIT_CAPACITY = 2
 EXIT_VIOLATION = 3
 
-_COMMANDS = ("moment", "bounds", "verify", "sweep", "search")
 _FORMATS = ("json", "csv")
 
 @dataclass
@@ -172,6 +171,10 @@ def _validate(job: JobSpec):
             _fail("distribution", f"required for {job.command!r}")
         if job.p is None:
             _fail("p", f"required for {job.command!r}")
+    if job.command in ("verify", "search"):
+        for name in ("alpha", "distribution"):
+            if getattr(job, name) is not None:
+                _fail(name, f"{job.command!r} runs no single law")
     kind = _law_kind(job)
     if kind is not None and (job.alpha is not None) != ("alpha" in dists.LAWS[kind].params):
         _fail("alpha", f"required for {kind}" if job.alpha is None else f"{kind} takes no alpha")
@@ -235,7 +238,7 @@ def _orders_from(lowest: float, ps: list[float], what: str) -> list[float]:
     return orders
 
 
-def _run_moment(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
+def _run_moment(job: JobSpec, envelope: dict) -> list[dict]:
     v = CoefficientVector(job.coefficients)
     d = _distribution(job)
     # default: the law's ladder, with fallback; an explicit list: one record
@@ -269,10 +272,10 @@ def _run_moment(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                     "confidence": r.confidence,
                 }
             )
-    return EXIT_OK, records
+    return records
 
 
-def _run_bounds(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
+def _run_bounds(job: JobSpec, envelope: dict) -> list[dict]:
     v = CoefficientVector(job.coefficients)
     d = _distribution(job)
     records = []
@@ -292,10 +295,10 @@ def _run_bounds(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                     "upper": bi.upper,
                 }
             )
-    return EXIT_OK, records
+    return records
 
 
-def _run_verify(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
+def _run_verify(job: JobSpec, envelope: dict) -> list[dict]:
     band = tuple(job.gk_band) if job.gk_band else verify.GK_BAND
     try:
         reports = verify.suite(job.seed, samples=job.samples, checks=job.checks, p_grid=job.p, gk_band=band)
@@ -303,34 +306,28 @@ def _run_verify(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
         if exc.field != "p_grid":
             raise
         _fail("p", exc.message)
-    records = []
-    violations = 0
-    for rep in reports:
-        violations += rep.violations
-        records.append(
-            {
-                **envelope,
-                "check": rep.check,
-                "cases": rep.cases,
-                "violations": rep.violations,
-                "worst_margin": rep.worst_margin,
-                "ci_resolved": rep.ci_resolved,
-                "inconclusive": rep.inconclusive,
-            }
-        )
-    return (EXIT_VIOLATION if violations else EXIT_OK), records
+    return [
+        {
+            **envelope,
+            "check": rep.check,
+            "cases": rep.cases,
+            "violations": rep.violations,
+            "worst_margin": rep.worst_margin,
+            "ci_resolved": rep.ci_resolved,
+            "inconclusive": rep.inconclusive,
+        }
+        for rep in reports
+    ]
 
 
-def _run_search(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
+def _run_search(job: JobSpec, envelope: dict) -> list[dict]:
     p_grid = _search_p_grid(job)
     records = []
-    violations = 0
     for i, check in enumerate(job.checks or verify.SEARCH_CHECKS):
         cfg = verify.SearchConfig(
             check, n_max=job.nmax, p_grid=p_grid, iterations=job.iterations, seed=job.seed + i
         )
         rep = verify.search_counterexamples(cfg)
-        violations += rep.violations
         records.append(
             {
                 **envelope,
@@ -343,13 +340,13 @@ def _run_search(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 "witness_p": rep.witness_p,
             }
         )
-    return (EXIT_VIOLATION if violations else EXIT_OK), records
+    return records
 
 
 _SWEEP_SIZES = (4, 8)
 
 
-def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
+def _run_sweep(job: JobSpec, envelope: dict) -> list[dict]:
     """One row per (family, n) case and order: the reference norm next to
     every applicable bound interval.  Case k (from 1) draws its vector from
     substream k - 1 and takes its reference at seed + k; given coefficients
@@ -387,7 +384,18 @@ def _run_sweep(job: JobSpec, envelope: dict) -> tuple[int, list[dict]]:
                 row[f"{bi.source}_lower"] = bi.lower
                 row[f"{bi.source}_upper"] = bi.upper
             records.append(row)
-    return EXIT_OK, records
+    return records
+
+
+# each command's runner: runner(job, envelope) -> records
+_RUNNERS = {
+    "moment": _run_moment,
+    "bounds": _run_bounds,
+    "verify": _run_verify,
+    "sweep": _run_sweep,
+    "search": _run_search,
+}
+_COMMANDS = tuple(_RUNNERS)
 
 
 # --- serialization ------------------------------------------------------------------
@@ -478,21 +486,17 @@ def _load_document(path: str | None) -> dict | None:
 
 
 def run(job: JobSpec) -> tuple[int, list[dict]]:
-    """Execute a validated job; returns (exit status, records)."""
+    """Execute a validated job; returns (exit status, records), the status
+    EXIT_VIOLATION when a record counts a violation."""
     envelope = {
         "command": job.command,
         "digest": _job_digest(job),
         "seed": job.seed,
         "version": __version__,
     }
-    impl = {
-        "moment": _run_moment,
-        "bounds": _run_bounds,
-        "verify": _run_verify,
-        "sweep": _run_sweep,
-        "search": _run_search,
-    }[job.command]
-    return impl(job, envelope)
+    records = _RUNNERS[job.command](job, envelope)
+    violated = any(rec.get("violations", 0) > 0 for rec in records)
+    return (EXIT_VIOLATION if violated else EXIT_OK), records
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -50,7 +50,6 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
-_TINY = 2.0**-1022  # the smallest normal float
 
 RADEMACHER = "rademacher"
 SYM_EXPONENTIAL = "symExponential"
@@ -119,9 +118,8 @@ class CharFunction:
     refusal: Callable[[DistributionSpec, float], str | None] = lambda d, p: None  # why (d, p) is refused
 
 
-def _tail_exponent(d: DistributionSpec, t: float) -> float:
-    tp = tail_probability(d, t)
-    return math.inf if tp == 0.0 else -math.log(tp)
+def _tail_from_exponent(d: DistributionSpec, t: float) -> float:
+    return math.exp(-LAWS[d.kind].exponent(d, t))
 
 
 @dataclass(frozen=True)
@@ -129,13 +127,13 @@ class Law:
     """Everything the package knows of one family of laws (README, "Adding a law")."""
 
     spec: Callable[..., DistributionSpec]  # spec(**params) builds d
-    tail: _Piece  # P(|X| >= t)
+    exponent: _Piece  # N(t) = -ln P(|X| >= t) in closed form
     exponent_slope: _Piece  # N'(x) on [1, inf)
     abs_moment: _Piece  # E|X|^p, p not an even integer
     even_moment: Callable[[DistributionSpec, int], float]  # E X^{2j} rounded once, OverflowError past floats
     sample: Callable[..., np.ndarray]  # sample(d, rng, size)
     ladder: tuple[str, ...]  # default engines of summoments.ENGINES, strongest first
-    exponent: _Piece = _tail_exponent  # N(t) = -ln P(|X| >= t)
+    tail: _Piece = _tail_from_exponent  # P(|X| >= t); stated only where e^{-N(t)} would round
     exponent_inverse: _Piece | None = None  # x with N(x) = y; None: N takes no finite value past 1
     slope_inverse: _Piece | None = None  # x with N'(x) = s in closed form; None: constant N' or a root finder
     char: CharFunction | None = None  # None: no closed-form phi_X, which charFunction refuses
@@ -206,12 +204,8 @@ def single_abs_moment(d: DistributionSpec, p: float) -> float:
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
     if p % 2 == 0:
-        return _even_abs_moment(d, int(p) // 2)
+        return LAWS[d.kind].even_moment(d, int(p) // 2)
     return LAWS[d.kind].abs_moment(d, p)
-
-
-def _even_abs_moment(d: DistributionSpec, j: int) -> float:
-    return LAWS[d.kind].even_moment(d, j)
 
 
 def single_moment_rademacher(a: float, b: float, p: float) -> float:
@@ -300,28 +294,22 @@ def _laplace_sums(d: DistributionSpec, y: np.ndarray):
     return phi, lambda t: float(phi(t)), mgf, 1.0 / float(y[0])
 
 
-# Gaussian: erfc(t/sqrt2) = 2 Phi(-t); the tail pieces go to log space where
-# erfc leaves the normal float range, and keep their bits below it
+# Gaussian: P(|X| >= t) = erfc(t/sqrt2) = 2 Phi(-t); N, its inverse and its
+# slope in log space, one formula each over the whole float range
 
 
 def _gaussian_exponent(d: DistributionSpec, t: float) -> float:
-    tp = tail_probability(d, t)
-    return -math.log(tp) if tp >= _TINY else -(_LN2 + float(special.log_ndtr(-t)))
+    return -(_LN2 + float(special.log_ndtr(-t)))
 
 
 def _gaussian_exponent_inverse(d: DistributionSpec, y: float) -> float:
-    e = math.exp(-y)
-    if e >= _TINY:
-        return SQRT2 * float(special.erfcinv(e))
     x = -float(special.ndtri_exp(-y - _LN2))  # Phi(-x) = e^{-y}/2, then one Newton step on N
     return x if math.isinf(x) else x - (_gaussian_exponent(d, x) - y) / _gaussian_slope(d, x)
 
 
 def _gaussian_slope(d: DistributionSpec, x: float) -> float:
-    tp = math.erfc(x / SQRT2)
-    if tp >= _TINY:
-        return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) / tp
-    return math.sqrt(2.0 / math.pi) / float(special.erfcx(x / SQRT2))  # erfc(z) = erfcx(z) e^{-z^2}
+    # 2 phi(x) / erfc(x/sqrt2), with erfc(z) = erfcx(z) e^{-z^2}
+    return math.sqrt(2.0 / math.pi) / float(special.erfcx(x / SQRT2))
 
 
 def _weibull_even_moment(d: DistributionSpec, j: int) -> float:
@@ -367,7 +355,7 @@ def _weibull2_sums(d: DistributionSpec, y: np.ndarray):
 LAWS = {
     RADEMACHER: Law(
         spec=rademacher,
-        tail=lambda d, t: 1.0 if t <= 1.0 else 0.0,
+        exponent=lambda d, t: 0.0 if t <= 1.0 else math.inf,
         exponent_slope=lambda d, x: math.inf,
         abs_moment=lambda d, p: 1.0,
         even_moment=lambda d, j: 1.0,
@@ -382,7 +370,7 @@ LAWS = {
     ),
     SYM_EXPONENTIAL: Law(
         spec=sym_exponential,
-        tail=lambda d, t: math.exp(-SQRT2 * t),
+        exponent=lambda d, t: SQRT2 * t,
         exponent_inverse=lambda d, y: y / SQRT2,
         exponent_slope=lambda d, x: SQRT2,
         # 2^{-p/2} Gamma(p+1) and (2j)!/2^j
@@ -394,7 +382,7 @@ LAWS = {
     ),
     GAUSSIAN: Law(
         spec=gaussian,
-        tail=lambda d, t: math.erfc(t / SQRT2),
+        tail=lambda d, t: math.erfc(t / SQRT2),  # e^{-N} would round
         exponent=_gaussian_exponent,
         exponent_inverse=_gaussian_exponent_inverse,
         exponent_slope=_gaussian_slope,
@@ -405,7 +393,7 @@ LAWS = {
     ),
     WEIBULL_TAIL: Law(
         spec=weibull_tail,
-        tail=lambda d, t: math.exp(-((t / d.scale) ** d.alpha)),
+        exponent=lambda d, t: (t / d.scale) ** d.alpha,
         exponent_inverse=lambda d, y: d.scale * y ** (1.0 / d.alpha),
         exponent_slope=lambda d, x: (d.alpha / d.scale) * (x / d.scale) ** (d.alpha - 1.0),
         # asked at alpha > 1 only: at alpha = 1 the slope is constant

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import coeffs, dists
 from .coeffs import CoefficientVector
-from .dists import CHAR_FUNCTION_TOLERANCE, SQRT2, DistributionSpec, gamma_p, log_gamma
+from .dists import SQRT2, DistributionSpec, gamma_p, log_gamma
 from .errors import (
     DegenerateCoefficientsError,
     EngineCapacityError,
@@ -55,7 +55,6 @@ from .quadrature import DEFAULT_SUBDIVISION_CAP, integrate_adaptive
 
 __all__ = [
     "EVEN_MOMENT_CAP",
-    "CHAR_FUNCTION_TOLERANCE",
     "ENUMERATION_CAP",
     "PARTIAL_FRACTION_GAP",
     "RESIDUE_MAGNITUDE_CAP",
@@ -676,7 +675,7 @@ def char_function_moment(v: CoefficientVector, d: DistributionSpec, p: float) ->
     integral, plus 16 ulps for the final products.  Refuses
     (EngineCapacityError) an even integer p, a law without a closed-form
     phi_S, Rademacher signs at p < 2 (on lattices eps is no bound there),
-    eps above CHAR_FUNCTION_TOLERANCE (1e-6 for signs; at large p the pieces
+    eps above dists.CHAR_FUNCTION_TOLERANCE (1e-6 for signs; at large p the pieces
     cancel), and work of _even_levels above EVEN_MOMENT_CAP; QuadratureError
     when a quadrature does not converge.
     """

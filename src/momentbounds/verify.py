@@ -629,20 +629,15 @@ def _search_margins(check: str, v: np.ndarray, p: np.ndarray | None, t: np.ndarr
 
 def _laplace_norms(rest: np.ndarray, p: np.ndarray) -> list[float]:
     """||sum rest_i E_i||_p of each nonempty row at its order: partial
-    fractions, and the exponential ladder for the rows it refuses (equal
-    rows share one ladder walk)."""
+    fractions, and the exponential ladder for the rows it refuses."""
     y, e = summoments._canonical(rest)
     moments, refusals = summoments._partial_fraction_rows(y, p)
     out = []
-    ladder: dict[tuple, float] = {}
     for m, x, q, row, refusal in zip(moments.tolist(), e, p.tolist(), rest.tolist(), refusals):
         if refusal is None:
             out.append(summoments._scaled_norm(m, x, q, "partialFractions", OverflowError))
-            continue
-        key = (q, *row)
-        if key not in ladder:
-            ladder[key] = reference_estimate(CoefficientVector(row), dists.sym_exponential(), q).value
-        out.append(ladder[key])
+        else:
+            out.append(reference_estimate(CoefficientVector(row), dists.sym_exponential(), q).value)
     return out
 
 

@@ -44,6 +44,7 @@ def _distinct_vector(rng, n_max=8):
             return CV(a)
 
 
+@pytest.mark.slow
 def test_criterion_01_engine_agreement():
     start = time.time()
     rng = dists.substream(1001, 0)

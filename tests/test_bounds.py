@@ -11,9 +11,10 @@ from momentbounds.bounds import (
     BOUND_SOURCES,
     BoundInterval,
     OrliczFunction,
+    _TailPiece,
     _gk_order,
     _gk_regimes,
-    _gk_solve_regime,
+    _gk_solve,
     comp2_bounds,
     exponential_bounds,
     gaussian_approx_gap,
@@ -195,13 +196,15 @@ class TestOrliczFunction:
             for y in [0.25, 1.0, 2.0, 5.0]:
                 x = m.largest_sublevel(y)
                 assert m(x) <= y + 1e-10
-        # past y = 708.4 erfc(x/sqrt2) is no normal float, and the Gaussian
-        # pieces go to log space; M(x) may round an ulp below y (at y = 1e4)
-        m = OrliczFunction(dists.gaussian())
-        for y in [740.0, 745.5, 1e4]:
-            x = m.largest_sublevel(y)
-            assert y * (1.0 - 1e-15) <= m(x) <= y + 1e-10
+        # past y = 708.4 the tail e^{-y} is no normal float; each law states N
+        # in closed form, so M(x) may round an ulp or a few below y, not to inf
+        for d in [dists.sym_exponential(), dists.gaussian()] + [dists.weibull_tail(a) for a in (1.0, 1.5, 3.0)]:
+            m = OrliczFunction(d)
+            for y in [740.0, 745.5, 1000.0, 1e4]:
+                x = m.largest_sublevel(y)
+                assert y * (1.0 - 1e-15) <= m(x) <= y + 1e-10
         # at y = inf the set is unbounded, which gk_dual_norm reports
+        m = OrliczFunction(dists.gaussian())
         assert m.largest_sublevel(math.inf) == math.inf
         with pytest.raises(UnboundedSupremumError, match="unbounded"):
             gk_dual_norm(CV([1.0]), [m], math.inf)
@@ -234,6 +237,32 @@ class TestGkDualNorm:
             want = mpmath.findroot(lambda x: -mpmath.log(mpmath.erfc(x / mpmath.sqrt(2))) - p, math.sqrt(2.0 * p))
         got = gk_dual_norm(CV([1.0]), [OrliczFunction(dists.gaussian())], p)
         assert got == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("p", [744.0, 745.5, 1000.0, 1e6])
+    def test_exponential_past_the_float_range(self, p):
+        # N(t) = sqrt2 t is linear, so the first coordinate takes the tail at the
+        # multiplier lam = a_1/sqrt2 and the others sit on the quadratic piece at
+        # b_i = a_i/(2 lam); entering another tail costs sqrt2 for at most a_i
+        a = [1.0, 0.5, 0.25]
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(a[0]) / mpmath.sqrt(2)
+            quad = [mpmath.mpf(x) / (2 * lam) for x in a[1:]]
+            want = (p - sum(b * b for b in quad)) / mpmath.sqrt(2) + sum(x * b for x, b in zip(a[1:], quad))
+        got = gk_dual_norm(CV(a), [OrliczFunction(dists.sym_exponential())] * 3, p)
+        assert got == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1000.0, 1e6])
+    def test_weibull_past_the_float_range(self, alpha, p):
+        # at these p every coordinate takes its tail, N(t) = (t/b)^alpha, and
+        # Hoelder's equality case gives b p^{1/alpha} ||a||_q, q = alpha/(alpha - 1)
+        a = [1.0, 0.5, 0.25]
+        d = dists.weibull_tail(alpha)
+        with mpmath.workdps(50):
+            q = mpmath.mpf(alpha) / (alpha - 1)
+            want = d.scale * mpmath.mpf(p) ** (1 / mpmath.mpf(alpha)) * sum(mpmath.mpf(x) ** q for x in a) ** (1 / q)
+        got = gk_dual_norm(CV(a), [OrliczFunction(d)] * 3, p)
+        assert got == pytest.approx(float(want), rel=1e-13)
 
     def test_random_instances_against_grid_oracle(self):
         rng = np.random.default_rng(12)
@@ -300,11 +329,11 @@ class TestGkRegimes:
             # its terms in the same order as gk_dual_norm does
             order = _gk_order(np.abs(a), Ms)
             abs_a, Ms = np.abs(a)[order], [Ms[i] for i in order]
-            caps = [m.largest_sublevel(p) for m in Ms]
+            pieces = [_TailPiece(m, m.largest_sublevel(p)) for m in Ms]
             # Rademacher has no tail piece, so its coordinates never join a tail set
             tailed = [i for i in range(n) if Ms[i].dist.kind != dists.RADEMACHER]
-            values = [_gk_solve_regime(abs_a, Ms, p, caps, frozenset(s)) for s in _subsets(tailed)]
-            want = max([0.0] + [x for x in values if x is not None])
+            values = [_gk_solve(abs_a, pieces, p, frozenset(s)) for s in _subsets(tailed)]
+            want = max([0.0] + [x[0] for x in values if x is not None])
             keys = [(m.dist, x) for m, x in zip(Ms, abs_a)]
             if len(set(keys)) == n:
                 assert got == want
@@ -336,11 +365,13 @@ class TestGkRegimes:
 
     @staticmethod
     def regime_values(a, Ms, p):
-        """_gk_solve_regime on every regime of gk_dual_norm, in its order."""
+        """_gk_solve's optimum on every regime of gk_dual_norm, in its order
+        (None for an infeasible one)."""
         order = _gk_order(np.abs(a), Ms)
         abs_a, Ms = np.abs(a)[order], [Ms[i] for i in order]
-        caps = [m.largest_sublevel(p) for m in Ms]
-        return [_gk_solve_regime(abs_a, Ms, p, caps, s) for s in _gk_regimes(abs_a, Ms)]
+        pieces = [_TailPiece(m, m.largest_sublevel(p)) for m in Ms]
+        solved = [_gk_solve(abs_a, pieces, p, s) for s in _gk_regimes(abs_a, Ms)]
+        return [None if x is None else x[0] for x in solved]
 
     def test_skipped_regimes_leave_the_maximum(self):
         # gk_dual_norm skips the regimes its weak-duality bound rules out; the
@@ -391,6 +422,15 @@ class TestGkRegimes:
         assert float(tops.max()) * (1.0 - 1e-12) <= got <= float(tops.sum())
         for lam in (0.3, 7.0):
             assert gk_dual_norm(CV(lam * a), Ms, p) == pytest.approx(lam * got, rel=1e-9)
+
+    def test_every_tail_piece_has_an_inverse(self):
+        # a coordinate joins a tail set only when N'(1) is finite (_gk_regimes),
+        # and _gk_solve's budget top-up then reads N^{-1} of its law
+        for kind, law in dists.LAWS.items():
+            for alpha in (1.0, 1.5, 2.0, 3.0):
+                d = law.spec(**dict.fromkeys(law.params, alpha))
+                if math.isfinite(law.exponent_slope(d, 1.0)):
+                    assert law.exponent_inverse is not None, kind
 
     def test_too_many_regimes_refused(self):
         Ms = [OrliczFunction(dists.weibull_tail(1.0 + k / 8.0)) for k in range(17)]

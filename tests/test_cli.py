@@ -178,8 +178,11 @@ _MOMENT_ARGV = ["moment", "--coeffs", "1,2", "--dist", "rademacher", "--p", "3"]
         (["moment", "--coeffs", "1,1", "--dist", "rademacher", "--alpha", "2", "--p", "3"], "alpha"),
         (["bounds", "--coeffs", "1,1", "--dist", "gaussian", "--alpha", "3", "--p", "3"], "alpha"),
         (["sweep", "--alpha", "2", "--seed", "1"], "alpha"),
-        # verify and search run no one law, but check --alpha against a given --dist
+        # verify and search run no one law and take neither law field, alpha named first
         (["verify", "--dist", "rademacher", "--alpha", "2", "--seed", "1"], "alpha"),
+        (["verify", "--dist", "gaussian", "--seed", "1"], "distribution"),
+        (["verify", "--alpha", "2", "--seed", "1"], "alpha"),
+        (["search", "--dist", "rademacher", "--seed", "1"], "distribution"),
     ],
 )
 def test_bad_flag_values_are_rejected_on_their_field(argv, path, capsys):
@@ -395,7 +398,7 @@ class TestMomentCommand:
         assert status == cli.EXIT_OK
         (rec,) = records_of(out)
         assert rec["method"] == "charFunction" and rec["rigor"] == "tolerance"
-        assert 0 < rec["epsilon"] <= summoments.CHAR_FUNCTION_TOLERANCE
+        assert 0 < rec["epsilon"] <= dists.CHAR_FUNCTION_TOLERANCE
         assert rec["seed"] is None
 
     def test_even_gaussian_moment_is_exact(self, capsys):

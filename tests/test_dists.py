@@ -49,6 +49,47 @@ class TestTailProbability:
             tail_probability(dists.gaussian(), -0.1)
 
 
+_EVERY_LAW = [dists.rademacher(), dists.sym_exponential(), dists.gaussian()] + [
+    dists.weibull_tail(a) for a in (1.0, 1.5, 2.0, 3.0)
+]
+
+
+@pytest.mark.parametrize("d", _EVERY_LAW, ids=lambda d: f"{d.kind}-{d.alpha}")
+def test_tail_is_e_to_the_minus_exponent(d):
+    # each record states N; a tail derived from it is e^{-N} to the bit.  The
+    # Gaussian states erfc(t/sqrt2), which rounds t/sqrt2 as N rounds t: the
+    # two agree within 2 units of relative rounding times the condition
+    # number 1 + t N'(t) of the tail in t, on [0, 37], where erfc is a normal
+    # float
+    law = dists.LAWS[d.kind]
+    for t in np.linspace(0.0, 37.0, 7001).tolist():
+        tail, derived = tail_probability(d, t), math.exp(-law.exponent(d, t))
+        if law.tail is dists.Law.tail:
+            assert tail == derived
+        else:
+            assert abs(tail - derived) <= 2.0 * (1.0 + t * law.exponent_slope(d, t)) * 2.0**-52 * tail
+
+
+def test_gaussian_exponent_pieces_against_mpmath():
+    # N(t) = -ln erfc(t/sqrt2), its slope and its inverse, each one formula in
+    # log space from t = 1 past the float range of erfc (t ~ 38.5) to t = 100
+    d = dists.gaussian()
+    law = dists.LAWS[d.kind]
+    with mpmath.workdps(50):
+
+        def exponent(t):
+            return -mpmath.log(mpmath.erfc(mpmath.mpf(t) / mpmath.sqrt(2)))
+
+        for t in np.linspace(1.0, 100.0, 397).tolist():
+            tt = mpmath.mpf(t)
+            slope = mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-tt * tt / 2) / mpmath.erfc(tt / mpmath.sqrt(2))
+            assert law.exponent(d, t) == pytest.approx(float(exponent(t)), rel=1e-15, abs=0)
+            assert law.exponent_slope(d, t) == pytest.approx(float(slope), rel=1e-15, abs=0)
+        for y in np.geomspace(1.2, 1e6, 61).tolist():
+            x = mpmath.findroot(lambda x: exponent(x) - y, math.sqrt(2.0 * y))
+            assert law.exponent_inverse(d, y) == pytest.approx(float(x), rel=1e-15, abs=0)
+
+
 class TestNormalization:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_unit_variance_by_quadrature(self, alpha):

@@ -11,6 +11,7 @@ import oracles
 from momentbounds import dists, summoments
 from momentbounds.verify import reference_estimate
 from momentbounds.coeffs import CoefficientVector
+from momentbounds.dists import CHAR_FUNCTION_TOLERANCE
 from momentbounds.errors import (
     DegenerateCoefficientsError,
     EngineCapacityError,
@@ -18,7 +19,6 @@ from momentbounds.errors import (
     ResidueCancellationError,
 )
 from momentbounds.summoments import (
-    CHAR_FUNCTION_TOLERANCE,
     ENUMERATION_CAP,
     EVEN_MOMENT_CAP,
     MomentEstimate,
