@@ -41,7 +41,6 @@ __all__ = [
     "weibull_tail",
     "log_gamma",
     "gamma_p",
-    "tail_probability",
     "single_abs_moment",
     "single_moment_rademacher",
     "sample_array",
@@ -118,22 +117,17 @@ class CharFunction:
     refusal: Callable[[DistributionSpec, float], str | None] = lambda d, p: None  # why (d, p) is refused
 
 
-def _tail_from_exponent(d: DistributionSpec, t: float) -> float:
-    return math.exp(-LAWS[d.kind].exponent(d, t))
-
-
 @dataclass(frozen=True)
 class Law:
     """Everything the package knows of one family of laws (README, "Adding a law")."""
 
     spec: Callable[..., DistributionSpec]  # spec(**params) builds d
-    exponent: _Piece  # N(t) = -ln P(|X| >= t) in closed form
+    exponent: _Piece  # N(t) = -ln P(|X| >= t) in closed form, the record's one tail fact
     exponent_slope: _Piece  # N'(x) on [1, inf)
     abs_moment: _Piece  # E|X|^p, p not an even integer
     even_moment: Callable[[DistributionSpec, int], float]  # E X^{2j} rounded once, OverflowError past floats
     sample: Callable[..., np.ndarray]  # sample(d, rng, size)
     ladder: tuple[str, ...]  # default engines of summoments.ENGINES, strongest first
-    tail: _Piece = _tail_from_exponent  # P(|X| >= t); stated only where e^{-N(t)} would round
     exponent_inverse: _Piece | None = None  # x with N(x) = y; None: N takes no finite value past 1
     slope_inverse: _Piece | None = None  # x with N'(x) = s in closed form; None: constant N' or a root finder
     char: CharFunction | None = None  # None: no closed-form phi_X, which charFunction refuses
@@ -166,13 +160,6 @@ def weibull_tail(alpha: float) -> DistributionSpec:
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha!r}")
     return DistributionSpec(WEIBULL_TAIL, alpha=float(alpha), scale=_weibull_unit_scale(alpha))
-
-
-def tail_probability(d: DistributionSpec, t: float) -> float:
-    """P(|X| >= t) for t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    return LAWS[d.kind].tail(d, t)
 
 
 def gamma_p(p: float) -> float:
@@ -382,7 +369,6 @@ LAWS = {
     ),
     GAUSSIAN: Law(
         spec=gaussian,
-        tail=lambda d, t: math.erfc(t / SQRT2),  # e^{-N} would round
         exponent=_gaussian_exponent,
         exponent_inverse=_gaussian_exponent_inverse,
         exponent_slope=_gaussian_slope,

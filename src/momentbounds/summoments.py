@@ -319,9 +319,13 @@ def even_sum_moment(v: CoefficientVector, d: DistributionSpec, p: float) -> Mome
 # --- exact Rademacher enumeration -------------------------------------------
 
 
-# Sign patterns per enumeration block, the partial sums of the first 21
-# coefficients.  It is also the summation chunk of the moment: another size
-# changes the summation tree and so the last bits of every result.
+# Partial sums per tile: every sweep is built, powered and summed in tiles of
+# at most 2^17 doubles (1 MB), which stay in cache.
+_TILE = 1 << 17
+# Sign patterns per summation chunk of the moment: the tile sums of each
+# chunk are combined in numpy's pairwise tree over 2^20 elements, and the
+# chunk sums in order.  Another size changes the summation tree and so the
+# last bits of every result.
 _ENUMERATION_BLOCK = 1 << 20
 
 
@@ -343,32 +347,44 @@ def _power_rows(x: np.ndarray, p: np.ndarray) -> None:
         x[lo:hi] **= q
 
 
+def _pairwise(sums: list[np.ndarray]) -> np.ndarray:
+    """The sum of 2^k arrays in numpy's pairwise tree: np.sum splits a
+    power-of-two length of at least 2^8 exactly in half, so the sum of a
+    2^20-element chunk is this tree over the sums of its tiles."""
+    while len(sums) > 1:
+        sums = [x + y for x, y in zip(sums[0::2], sums[1::2])]
+    return sums[0]
+
+
 def _enumeration_totals(a: np.ndarray, p) -> np.ndarray:
     """sum |S|^p over the 2^{n-1} sign patterns with eps_1 = +1, for each row
     of a (rows, n) array of unit-scale canonical coefficients (see
     _canonical), n >= 1, at the order p (a scalar, or one order per row;
     see _power_rows).
 
-    The patterns are taken in blocks of 2^20: the partial sums of the first
-    21 coefficients are built once, and each sign pattern of the remaining
-    ones is applied to that block, written to a second one.  Rows go in
-    chunks whose blocks hold at most 2^20 partial sums together, so memory
-    is O(2^20) whatever n and the number of rows are, while time stays
-    proportional to 2^{n-1}.
+    The patterns are taken in tiles of 2^17: the partial sums of the first
+    18 coefficients are built once, and each sign pattern of the remaining
+    ones is folded onto them in coefficient order, written to one scratch
+    tile.  Rows go in batches whose tiles hold at most 2^17 partial sums
+    together, so memory is two 1 MB tiles whatever n and the number of rows
+    are, while time stays proportional to 2^{n-1}.
     Every float operation and the summation order of a row are those of a
     sweep over one 2^{n-1}-element array summed in 2^20-element chunks, so
     a row gets the same bits in any batch.
     """
     rows, n = a.shape
     p = np.full(rows, p, dtype=float)
-    split = _ENUMERATION_BLOCK.bit_length()
+    split = _TILE.bit_length()
     width = 1 << (min(n, split) - 1)
-    chunk = _ENUMERATION_BLOCK // width
+    batch = _TILE // width
+    patterns = 1 << (n - min(n, split))
+    # tile patterns per summation chunk
+    group = min(patterns, _ENUMERATION_BLOCK // width)
     totals = np.zeros(rows)
-    for lo in range(0, rows, chunk):
-        part, order = a[lo : lo + chunk], p[lo : lo + chunk]
+    for lo in range(0, rows, batch):
+        part, order = a[lo : lo + batch], p[lo : lo + batch]
         head, rest = part[:, :split], part[:, split:]
-        # fix eps_1 = +1, build the block's partial sums by in-place doubling
+        # fix eps_1 = +1, build the tile's partial sums by in-place doubling
         base = np.empty((len(part), width))
         base[:, 0] = head[:, 0]
         size = 1
@@ -377,26 +393,23 @@ def _enumeration_totals(a: np.ndarray, p) -> np.ndarray:
             base[:, size : 2 * size] = base[:, :size] - coef
             base[:, :size] += coef
             size *= 2
+        scratch = np.empty_like(base) if patterns > 1 else base
+        sums = []
         # a power past the float range is inf, which MomentEstimate.scaled refuses
         with np.errstate(over="ignore"):
-            if rest.shape[1] == 0:
-                np.abs(base, out=base)
-                _power_rows(base, order)
-                totals[lo : lo + chunk] = np.sum(base, axis=1)
-                continue
-            # bit k of the pattern set means eps = -1 on rest[:, k]; this is
-            # the order of the 2^20-element chunks of the whole 2^{n-1} sweep
-            block = np.empty_like(base)
-            for pattern in range(1 << rest.shape[1]):
-                (np.subtract if pattern & 1 else np.add)(base, rest[:, 0:1], out=block)
-                for k in range(1, rest.shape[1]):
-                    if pattern >> k & 1:
-                        block -= rest[:, k : k + 1]
-                    else:
-                        block += rest[:, k : k + 1]
-                np.abs(block, out=block)
-                _power_rows(block, order)
-                totals[lo : lo + chunk] += np.sum(block, axis=1)
+            # bit k of the pattern means eps = -1 on rest[:, k]; this is the
+            # order of the tiles of the whole 2^{n-1} sweep
+            for pattern in range(patterns):
+                tile = base
+                for k in range(rest.shape[1]):
+                    (np.subtract if pattern >> k & 1 else np.add)(tile, rest[:, k : k + 1], out=scratch)
+                    tile = scratch
+                np.abs(tile, out=tile)
+                _power_rows(tile, order)
+                sums.append(np.sum(tile, axis=1))
+                if len(sums) == group:
+                    totals[lo : lo + batch] += _pairwise(sums)
+                    sums = []
     return totals
 
 
@@ -404,19 +417,16 @@ def rademacher_sum_moment(v: CoefficientVector, p: float) -> MomentEstimate:
     """Exact E|sum a_i eps_i|^p over all sign patterns.
 
     Symmetry halves the sweep to 2^{n-1} patterns of weight 2^{-(n-1)},
-    streamed in blocks of 2^20 (see _enumeration_totals), so memory is
-    O(2^20) whatever n is.  Refuses n > ENUMERATION_CAP; use Monte Carlo
-    beyond the cap.
+    streamed in tiles of 2^17 (see _enumeration_totals), so memory is two
+    1 MB tiles whatever n is.  Refuses (EngineCapacityError) n past
+    ENUMERATION_CAP, where a ladder moves on to its next engine.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p!r}")
     y, (e,) = _canonical(v.as_array())
     n = y.shape[1]
     if n > ENUMERATION_CAP:
-        raise EngineCapacityError(
-            f"enumeration handles n <= {ENUMERATION_CAP}, got n={n}; "
-            "fall back to the Monte Carlo engine"
-        )
+        raise EngineCapacityError(f"enumeration handles n <= {ENUMERATION_CAP}, got n={n}")
     # the empty sum is 0, whose moment is 1 at p = 0
     m = float(_enumeration_totals(y, p)[0]) / (1 << (n - 1)) if n else float(p == 0)
     return MomentEstimate.scaled(p, m, e, "enumeration", Rigor.exact())

@@ -93,3 +93,40 @@ def test_laws_are_read_from_one_table():
                 owner = max(owners, key=lambda f: f.lineno).name if owners else None
                 found.append((path.name, owner, node.lineno))
     assert [f for f in found if f[:2] not in _LAW_COMPARISON_EXEMPT] == []
+
+
+# exported names that no code of the package reads, and why each stays
+_UNREAD_EXPORTS = {
+    "summoments.haagerup_moment": "acceptance criterion 1 calls it; no law's ladder holds the engine, "
+    "which a job reaches only when --engine pins it",
+}
+
+
+def test_every_exported_name_is_read_in_the_package():
+    # a name in __all__ is read by code of src/ besides its definition (another
+    # module, the CLI, or its own module), or reached as the function of an
+    # engine on a law's ladder or of a bound source; otherwise only tests read
+    # it, and it goes or is exempted above with its reason
+    from momentbounds import bounds, dists, summoments
+
+    registry = {summoments.ENGINES[e].function for law in dists.LAWS.values() for e in law.ladder}
+    registry |= {source.function for source in bounds.BOUND_SOURCES.values()}
+    root = Path(momentbounds.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in root.glob("*.py")}
+    del trees["__init__"]  # its re-exports read nothing
+
+    def read(tree, module, own):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module:
+                yield node.attr
+            elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+
+    unread = []
+    for module in sorted(trees):
+        names = set().union(*(read(tree, module, other == module) for other, tree in trees.items()))
+        exported = getattr(importlib.import_module(f"momentbounds.{module}"), "__all__", [])
+        unread += [f"{module}.{x}" for x in exported if x not in names and x not in registry]
+    assert unread == sorted(_UNREAD_EXPORTS)

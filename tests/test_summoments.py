@@ -107,8 +107,8 @@ class TestEnumeration:
         with pytest.raises(EngineCapacityError, match=str(ENUMERATION_CAP)):
             rademacher_sum_moment(CV([1.0] * (ENUMERATION_CAP + 1)), 2)
 
-    # n = 21 fills exactly one 2^20-pattern block; larger n stream the
-    # sign patterns of the coefficients past the 21st block by block
+    # n = 21 fills exactly one 2^20-pattern summation chunk; larger n
+    # stream the sign patterns of the coefficients past the 18th tile by tile
     @pytest.mark.parametrize("n", [21, 22, ENUMERATION_CAP])
     def test_flat_moments_across_blocks(self, n):
         v = CV([1.0] * n)
@@ -131,8 +131,46 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one whole-array sweep of 2^23 doubles would need 64 MB plus temporaries
-        assert peak < 40 * 2**20
+        # one whole-array sweep of 2^23 doubles would need 64 MB plus
+        # temporaries; the tiles of 2^17 doubles take 2 MB
+        assert peak < 4 * 2**20
+
+    @staticmethod
+    def reference_sweep(y):
+        """|S| over the whole 2^{n-1} left fold of +-y_i in coefficient order,
+        bit k of a pattern's index for eps = -1 on y_{k+1}."""
+        index = np.arange(1 << (len(y) - 1))
+        fold = np.full(index.size, y[0])
+        for k, coef in enumerate(y[1:].tolist()):
+            fold += np.where(index >> k & 1, -coef, coef)
+        return np.abs(fold)
+
+    @staticmethod
+    def reference_total(sweep, p):
+        # sum |S|^p by np.sum in 2^20-element chunks
+        powers, total = sweep**p, 0.0
+        for lo in range(0, powers.size, 1 << 20):
+            total += np.sum(powers[lo : lo + (1 << 20)])
+        return total
+
+    # one tile (n = 18), a summation chunk of 2, 4 or 8 tiles (19-21), and
+    # two chunks streamed (22)
+    @pytest.mark.parametrize("n", [17, 18, 19, 21, 22])
+    def test_tile_bits_against_whole_sweep(self, n):
+        rng = np.random.default_rng(100 + n)
+        for scale in (1.0, 1e-100, 1e100):
+            a = rng.uniform(0.1, 2.0, (2, n)) * scale
+            y, e = summoments._canonical(a)
+            sweeps = [self.reference_sweep(row) for row in y]
+            for p in (0.5, 2.0, 3.0, 7.5, 12.5):
+                want = np.array([self.reference_total(sweep, p) for sweep in sweeps])
+                assert summoments._enumeration_totals(y, p).tobytes() == want.tobytes(), (scale, p)
+                for row, m, x in zip(a, want.tolist(), e):
+                    got = rademacher_sum_moment(CV(row), p)
+                    ref = MomentEstimate.scaled(p, m / (1 << (n - 1)), x, "enumeration", Rigor.exact())
+                    assert np.array([got.value, got.raw_moment], dtype=float).tobytes() == np.array(
+                        [ref.value, ref.raw_moment], dtype=float
+                    ).tobytes(), (scale, p)
 
 
 class TestEvenMoments:
@@ -557,7 +595,7 @@ class TestCharFunction:
             # E cosh(u X) = 1 + int_0^inf u sinh(u r) P(|X| >= r) dr, the
             # series bound, by quadrature below the radius
             def integrand(r, u):
-                tail = dists.tail_probability(d, r)
+                tail = math.exp(-dists.LAWS[d.kind].exponent(d, r))
                 return u * math.sinh(u * r) * tail if tail else 0.0
 
             for u in [u for u in (0.5, 0.9, 2.0, 4.0) if u < radius]:
